@@ -15,6 +15,10 @@ SRC = ROOT / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 CLI = (sys.executable, "-c", "from stlmon.cli import main; main()")
 TRACED = (sys.executable, str(BENCH / "traced.py"))
+# A fixed child that starts the interpreter and imports numpy, as every
+# stlmon command does, and runs no stlmon code: its wall time tells how
+# fast the machine runs this kind of work at that moment.
+REFERENCE = (sys.executable, "-c", "import numpy")
 
 
 def spawn(argv: tuple[str, ...], stdout: Path) -> tuple[float, int, float]:
@@ -33,3 +37,11 @@ def spawn(argv: tuple[str, ...], stdout: Path) -> tuple[float, int, float]:
 def run_cli(args: tuple[str, ...], stdout: Path) -> tuple[float, int, float]:
     """One `stlmon <args>` invocation through the CLI entry point."""
     return spawn(CLI + tuple(args), stdout)
+
+
+def reference(scratch: Path) -> float:
+    """Wall seconds of one run of the reference child."""
+    wall, rc, _ = spawn(REFERENCE, scratch)
+    if rc != 0:
+        raise RuntimeError(f"the reference child exited {rc}")
+    return wall

@@ -1,12 +1,13 @@
 """stlmon benchmark: the real CLI, timed end to end, with per-layer spans.
 
-    python3 bench/run.py --workload fleet-1000 --seed 7 --seconds 40 --trace 0
+    python3 bench/run.py --workload fleet-1000 --seed 7 --seconds 45 --trace 0
     python3 bench/run.py --seed 7            # every workload, both passes
     python3 bench/run.py --smoke             # tiny sizes, every workload and check
 
 One closed-loop client runs one `stlmon` child process at a time. The
 untraced pass cycles through the workload's commands for --seconds and
-gives the end-to-end metrics. With --trace 1 each cycle is followed by a
+gives the end-to-end metrics, with each time scaled to a reference speed
+measured between commands (bench/README.md#noise). With --trace 1 each cycle is followed by a
 traced replay through `stlmon.cli.run` under timing spans (bench/traced.py),
 and each rule is timed directly; that gives the per-layer metrics. Every
 command's exit code and output are checked; see bench/README.md. The
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import math
 import os
 import platform
 import shutil
@@ -30,13 +30,17 @@ import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from proc import BENCH, CLI, ROOT, SRC, TRACED, run_cli, spawn
+from proc import BENCH, CLI, ROOT, SRC, TRACED, reference, run_cli, spawn
 
 REFERENCE = ROOT / "tests" / "reference.py"
 WORK_ROOT = BENCH / ".work"
 OPS = ("simulate", "report", "compare", "check")
 KERNEL_REPS = 3
 COVERAGE_FLOOR = 0.9
+# Timings are reported at a fixed machine speed: the seconds a command
+# would take where the reference child (proc.REFERENCE) takes REF_S. That
+# is about its median on the 2-vCPU Xeon VM the bounds were set on.
+REF_S = 0.15
 
 # name -> (unit, better); BENCHMARK.json declares the same names.
 END_TO_END = {
@@ -76,19 +80,6 @@ PER_LAYER = {
 }
 
 
-def loop_ms() -> float:
-    """Best of 5 timings of a fixed pure-Python loop: how fast the machine
-    ran at that moment. Recorded only, never used to scale a metric."""
-    best = math.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        total = 0
-        for i in range(200_000):
-            total += i * i % 7
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
-
-
 def machine(seed: int) -> dict:
     import numpy
 
@@ -109,26 +100,40 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def time_setup(wl) -> list[float]:
+def at_ref_speed(walls: list[float], refs: list[float]) -> list[float]:
+    """Wall times scaled to the reference speed. refs[i] and refs[i + 1]
+    ran just before and just after walls[i]; each wall time is scaled by
+    the median of the four reference runs nearest to it."""
+    return [wall * REF_S / statistics.median(refs[max(0, i - 1):i + 3]) for i, wall in enumerate(walls)]
+
+
+def time_setup(wl, scratch: Path) -> tuple[list[float], list[float]]:
     """Set the workload up at least 3 times and for at least 1 s; the last
-    set-up's inputs are the ones measured."""
-    times = []
-    while len(times) < 3 or (sum(times) < 1.0 and len(times) < 15):
+    set-up's inputs are the ones measured. Returns the wall times and the
+    reference times around them (see at_ref_speed)."""
+    walls, refs = [], [reference(scratch)]
+    while len(walls) < 3 or (sum(walls) < 1.0 and len(walls) < 15):
         start = time.perf_counter()
         wl.setup()
-        times.append(time.perf_counter() - start)
-    return times
+        walls.append(time.perf_counter() - start)
+        refs.append(reference(scratch))
+    return walls, refs
 
 
-def measure(wl, seconds: float, trace: bool, out: Path) -> tuple[list, list]:
+def measure(wl, seconds: float, trace: bool, out: Path) -> tuple[list, list, list]:
     """Cycle through the workload's commands until `seconds` have passed;
     the last cycle runs to its end.
 
     With `trace`, the first run of each distinct command in a cycle is
-    followed at once by a traced replay of it (bench/traced.py). Returns
-    the untraced runs and, per cycle, the traced runs."""
+    followed at once by a traced replay of it (bench/traced.py), which
+    records the untraced run's wall time beside its own. The
+    reference child runs before the first untraced command and after each.
+    Returns the untraced runs, the reference times (see at_ref_speed) and,
+    per cycle, the traced runs."""
     runs, traced_cycles = [], []
     spans = out.with_suffix(".spans")
+    ref = out.with_suffix(".ref")
+    refs = [reference(ref)]
     start = time.perf_counter()
     cycle = 0
     while cycle == 0 or time.perf_counter() - start < seconds:
@@ -137,16 +142,17 @@ def measure(wl, seconds: float, trace: bool, out: Path) -> tuple[list, list]:
         for op, replay in zip(wl.ops(tags[0]), wl.ops(tags[1])):
             wall, rc, rss = run_cli(op.argv, out)
             runs.append((op, wall, rc, rss, out.read_bytes()))
+            refs.append(reference(ref))
             if trace and all(replay.name != r[0].name for r in traced):
                 t_wall, t_rc, t_rss = spawn(TRACED + (str(spans),) + replay.argv, out)
                 dump = json.loads(spans.read_text(encoding="utf-8"))
-                traced.append((replay, t_wall, t_rc, t_rss, out.read_bytes(), dump))
+                traced.append((replay, t_wall, t_rc, t_rss, out.read_bytes(), dump, wall))
         wl.after_pass(tags[0])
         if trace:
             wl.after_pass(tags[1])
             traced_cycles.append(traced)
         cycle += 1
-    return runs, traced_cycles
+    return runs, refs, traced_cycles
 
 
 def kernel_times(wl) -> dict[tuple[str, str], float]:
@@ -168,20 +174,22 @@ def kernel_times(wl) -> dict[tuple[str, str], float]:
 
 
 def cycle_layers(traced: list[tuple]) -> tuple[dict, set]:
-    """Per-layer metrics of the traced replays of one cycle, plus
-    `wall.<op>` and `layers.<op>`: each replay's wall time and the sum of
-    its layer times (import, spans' self times and process overhead)."""
+    """Per-layer metrics of the traced replays of one cycle. Coverage and
+    tracing overhead compare each replay with the untraced run just before
+    it, so that a drift of the machine's speed does not show in them."""
     self_s, counts, missing = Counter(), Counter(), set()
-    m = {"import.s": 0.0, "process.overhead.s": 0.0}
-    for op, wall, _, _, _, dump in traced:
+    m = {"import.s": 0.0, "process.overhead.s": 0.0, "trace.overhead.s": 0.0,
+         **{f"coverage.{op}": 0.0 for op in OPS}}
+    for op, wall, _, _, _, dump, untraced_wall in traced:
         self_s.update(dump["self_s"])
         counts.update(dump["counts"])
         missing.update(dump["missing"])
         process_s = wall - dump["inproc_s"]  # interpreter start and teardown
+        layers_s = dump["import_s"] + sum(dump["self_s"].values()) + process_s
         m["import.s"] += dump["import_s"]
         m["process.overhead.s"] += process_s
-        m[f"wall.{op.name}"] = wall
-        m[f"layers.{op.name}"] = dump["import_s"] + sum(dump["self_s"].values()) + process_s
+        m["trace.overhead.s"] += wall - untraced_wall
+        m[f"coverage.{op.name}"] = layers_s / untraced_wall
 
     def per(layer: str, count: str, scale: float) -> float:
         n = counts[f"{layer}.{count}"]
@@ -204,16 +212,13 @@ def cycle_layers(traced: list[tuple]) -> tuple[dict, set]:
     return m, missing
 
 
-def layer_metrics(wl, traced_cycles, medians, kernels) -> tuple[dict, list[str]]:
-    """Median over the traced cycles of each layer metric; coverage and
-    tracing overhead against the untraced medians; the direct per-rule
-    kernel times and their growth between the two longest traces."""
+def layer_metrics(wl, traced_cycles, kernels) -> tuple[dict, list[str]]:
+    """Median over the traced cycles of each layer metric; the direct
+    per-rule kernel times and their growth between the two longest traces."""
     cycles = [cycle_layers(traced) for traced in traced_cycles]
     m = {key: statistics.median(c[key] for c, _ in cycles) for key in cycles[0][0]}
     missing = set().union(*(miss for _, miss in cycles))
-    for op in OPS:
-        m[f"coverage.{op}"] = m[f"layers.{op}"] / medians[op] if op in medians else 0.0
-    m["trace.overhead.s"] = sum(m[f"wall.{op}"] - medians[op] for op in medians)
+    ran = {op.name for op, *_ in traced_cycles[0]}
     for rule in RULES:
         m[f"robustness.rule.{rule}.s"] = sum(s for (r, _), s in kernels.items() if r == rule)
     sizes = getattr(wl, "sizes", ())
@@ -222,7 +227,7 @@ def layer_metrics(wl, traced_cycles, medians, kernels) -> tuple[dict, list[str]]
         m[f"robustness.{rule}.growth"] = kernels[(rule, str(sizes[2]))] / base if base else 0.0
     m = {key: m[key] for key in PER_LAYER}  # the declared metrics, in order
     notes = [f"FLAG coverage.{op} = {m[f'coverage.{op}']:.3f} < {COVERAGE_FLOOR}"
-             for op in medians if m[f"coverage.{op}"] < COVERAGE_FLOOR]
+             for op in OPS if op in ran and m[f"coverage.{op}"] < COVERAGE_FLOOR]
     notes += [f"FLAG layer {layer}: stlmon no longer has the traced attribute" for layer in sorted(missing)]
     return m, notes
 
@@ -235,10 +240,9 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, smoke: bool, 
         out = work / "stdout"
         spawn(CLI[:1] + ("-c", "import stlmon.cli"), out)  # compile bytecode before timing
         wl = workload(work, seed, smoke)
-        speed = {"loop_ms_before": loop_ms()}
-        setup_times = time_setup(wl)
-        runs, traced_cycles = measure(wl, seconds, trace, out)
-        speed["loop_ms_after"] = loop_ms()
+        setup_walls, setup_refs = time_setup(wl, out)
+        setup_times = at_ref_speed(setup_walls, setup_refs)
+        runs, refs, traced_cycles = measure(wl, seconds, trace, out)
         traced = [run for cycle in traced_cycles for run in cycle]
         wl.expect()
         oracle_ok = wl.oracle_ok(load_reference())
@@ -248,25 +252,31 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, smoke: bool, 
         )
         attempted = len(runs) + len(traced)
 
-        walls = defaultdict(list)
-        for op, wall, *_ in runs:
+        walls, scaled = defaultdict(list), defaultdict(list)
+        for (op, wall, *_), t in zip(runs, at_ref_speed([run[1] for run in runs], refs)):
             walls[op.name].append(wall)
-        medians = {op: statistics.median(ws) for op, ws in walls.items()}
+            scaled[op.name].append(t)
+        at_ref = {op: statistics.median(ws) for op, ws in scaled.items()}
         e2e = {
             "setup_s": statistics.median(setup_times),
-            "check_s": medians["check"],
-            "pass_s": sum(medians.values()),
+            "check_s": at_ref["check"],
+            "pass_s": sum(at_ref.values()),
             "peak_rss_mb": max(run[3] for run in runs),
-            "samples_per_s": wl.samples() / sum(medians[op] for op in wl.eval_ops),
+            "samples_per_s": wl.samples() / sum(at_ref[op] for op in wl.eval_ops),
         }
 
         log(f"# workload {name}: seed {seed}, {seconds:g} s, trace {int(trace)}")
-        log(f"# machine {json.dumps({**machine(seed), **speed})}")
-        log(f"# setup: {len(setup_times)} runs, median {e2e['setup_s']:.4f} s [{' '.join(f'{t:.3f}' for t in setup_times)}]")
+        log(f"# machine {json.dumps(machine(seed))}")
+        q1, q2, q3 = quartiles(refs)
+        log(f"# reference child: median {q2:.4f} s, q1 {q1:.4f} s, q3 {q3:.4f} s; REF_S {REF_S} s")
+        log(f"# setup: {len(setup_times)} runs, median {e2e['setup_s']:.4f} s at reference speed "
+            f"[{' '.join(f'{t:.3f}' for t in setup_times)}], wall "
+            f"[{' '.join(f'{w:.3f}' for w in setup_walls)}]")
         for op, ws in walls.items():
-            q1, q2, q3 = quartiles(ws)
-            log(f"# op {op}: {len(ws)} runs, median {q2:.4f} s, q1 {q1:.4f} s, q3 {q3:.4f} s "
-                f"[{' '.join(f'{w:.3f}' for w in ws)}]")
+            for label, values in (("wall", ws), ("at reference speed", scaled[op])):
+                q1, q2, q3 = quartiles(values)
+                log(f"# op {op}, {label}: {len(values)} runs, median {q2:.4f} s, q1 {q1:.4f} s, "
+                    f"q3 {q3:.4f} s [{' '.join(f'{w:.3f}' for w in values)}]")
         log(f"# correctness: {attempted} ops, {failed} failed, failed_frac {failed / attempted:.4f}, "
             f"reference oracle {'agrees' if oracle_ok else 'DISAGREES'}")
         for key, value in e2e.items():
@@ -274,7 +284,7 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, smoke: bool, 
             log(f"# e2e {key} = {value:.6g} {unit} ({better} is better)")
         metrics = e2e
         if trace:
-            metrics, notes = layer_metrics(wl, traced_cycles, medians, kernel_times(wl))
+            metrics, notes = layer_metrics(wl, traced_cycles, kernel_times(wl))
             for key, value in metrics.items():
                 unit, better = PER_LAYER[key]
                 log(f"# layer {key} = {value:.6g} {unit} ({better} is better)")
@@ -314,7 +324,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=[*WORKLOADS, "all"], default="all")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=1)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny inputs and a 1 s pass: exercises every workload and check")
