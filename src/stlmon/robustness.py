@@ -9,13 +9,15 @@ Truncation: windows are clipped to the end of the trace, and a window
 that starts past the end degenerates to the final sample. This keeps
 every robustness value finite on finite episodes.
 
-Bounded G/F are computed in O(n) total per node via `windowed_extremum`.
+Bounded G/F and `U` are computed in O(n) total per node: G/F via
+`windowed_extremum`, `U` by a backward recurrence plus window extrema.
 Evaluation is pure per (formula, trace) pair; traces and formulas are
 immutable, so many evaluations may run concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,14 +141,53 @@ def _shifted_window(child: np.ndarray, lo: int, hi: int | None, mode: str) -> np
     return base[idx]
 
 
-def _until_series(lhs: np.ndarray, rhs: np.ndarray, lo: int, hi: int | None) -> np.ndarray:
+def _until_unbounded(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """u[t] = max over s >= t of min(rhs[s], min(lhs[t..s])), in O(n).
+
+    This is the backward recurrence u[t] = min(lhs[t], max(rhs[t], u[t+1]))
+    with u[n] = -inf. Step t is the clamp x -> clip(x, min(lhs[t], rhs[t]),
+    lhs[t]), and clamps compose into clamps. So the series is cut into
+    blocks of about sqrt(n) samples: one vectorised backward sweep composes
+    the clamps from each sample to the end of its block, a scalar pass
+    carries the value entering each block from the right, and one last
+    clip applies it. Selection only, so the result is bit-identical to
+    running the recurrence sample by sample.
+    """
     n = len(lhs)
-    out = np.empty(n)
-    for t in range(n):
-        start = min(t + lo, n - 1)
-        end = n - 1 if hi is None else min(t + hi, n - 1)
-        held = np.minimum.accumulate(lhs[t : end + 1])
-        out[t] = np.max(np.minimum(rhs[start : end + 1], held[start - t : end - t + 1]))
+    width = math.isqrt(n)
+    pad = -n % width
+    # bounds[0] holds the clamp floors, bounds[1] the ceilings, one block
+    # per row; padding is the identity clamp.
+    bounds = np.full((2, n + pad), [[-np.inf], [np.inf]])
+    np.minimum(lhs, rhs, out=bounds[0, :n])
+    bounds[1, :n] = lhs
+    bounds = bounds.reshape(2, -1, width)
+    for j in range(width - 2, -1, -1):
+        bounds[:, :, j] = np.clip(bounds[:, :, j + 1], bounds[0, :, j], bounds[1, :, j])
+    floors, ceils = bounds[:, :, 0].tolist()
+    entering = [-math.inf] * len(floors)
+    for k in range(len(floors) - 1, 0, -1):
+        entering[k - 1] = min(ceils[k], max(floors[k], entering[k]))
+    return np.clip(np.array(entering)[:, None], bounds[0], bounds[1]).ravel()[:n]
+
+
+def _until_series(lhs: np.ndarray, rhs: np.ndarray, lo: int, hi: int | None) -> np.ndarray:
+    """out[t] = max over s in [start, end] of min(rhs[s], min(lhs[t..s])),
+    with start = min(t+lo, n-1) and end = min(t+hi, n-1) (n-1 if unbounded).
+
+    Equal to u[start] with u the unbounded until from `_until_unbounded`,
+    capped by min(lhs[t..start]) when lo > 0 (lhs must hold up to
+    `start`) and by max(rhs[start..end]) when bounded: a maximiser of u
+    past `end` is capped both by the lhs prefix up to `end` and by the
+    best rhs inside the window. O(n) per node.
+    """
+    n = len(lhs)
+    start = np.minimum(np.arange(n) + lo, n - 1)
+    out = _until_unbounded(lhs, rhs)[start]
+    if lo > 0:
+        out = np.minimum(out, windowed_extremum(lhs, lo, "min"))
+    if hi is not None:
+        out = np.minimum(out, windowed_extremum(rhs, hi - lo, "max")[start])
     return out
 
 

@@ -55,7 +55,7 @@ PALETTE_SPEC = Specification(PALETTE, ())
 
 
 # ---------------------------------------------------------------------------
-# Naive windowed extremum (two independent algorithms)
+# Naive windowed extremum (two independent algorithms) and until kernel
 # ---------------------------------------------------------------------------
 
 def naive_windowed(series, width, mode):
@@ -77,6 +77,19 @@ def deque_windowed(series, width, mode):
         while dq[0] > t + width:
             dq.popleft()
         out[t] = series[dq[0]]
+    return out
+
+
+def naive_until(lhs, rhs, lo, hi):
+    """Until kernel on two robustness series, straight from the definition:
+    out[t] = max over s in [t+lo, t+hi] of min(rhs[s], min(lhs[t..s])),
+    under the clip-to-end truncation rule (hi None means unbounded)."""
+    n = len(lhs)
+    out = []
+    for t in range(n):
+        start = min(t + lo, n - 1)
+        end = n - 1 if hi is None else min(t + hi, n - 1)
+        out.append(max(min(rhs[s], min(lhs[t : s + 1])) for s in range(start, end + 1)))
     return out
 
 

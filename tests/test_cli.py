@@ -1,9 +1,14 @@
 """End-to-end CLI fixtures: exit codes, report schema, output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stlmon
 from stlmon.cli import builtin_spec_path, run
 
 SPEC_SRC = """\
@@ -255,3 +260,23 @@ class TestBuiltinSpecs:
     def test_unknown_builtin(self, workspace, capsys):
         code = run(["check", "builtin:nope", str(workspace / "ok.csv")])
         assert code == 2
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("trace", ["ok.csv", "bad.csv"])
+    def test_module_forms_match_main(self, workspace, trace):
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        args = ["check", str(workspace / "rules.stl"), str(workspace / trace)]
+        results = [
+            subprocess.run([sys.executable, *prefix, *args], capture_output=True, env=env)
+            for prefix in (
+                ["-c", "from stlmon.cli import main; main()"],
+                ["-m", "stlmon.cli"],
+                ["-m", "stlmon"],
+            )
+        ]
+        expected = results[0]
+        assert expected.returncode == (0 if trace == "ok.csv" else 1)
+        assert b"rho=" in expected.stdout
+        for got in results[1:]:
+            assert (got.returncode, got.stdout) == (expected.returncode, expected.stdout)

@@ -2,6 +2,7 @@
 soundness against the boolean monitor, and the windowed-extremum kernel."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from stlmon import (
     Interval,
     Not,
     Or,
+    Series,
+    SignalKind,
     SignalRef,
+    Trace,
     UNBOUNDED,
     Until,
     Verdict,
@@ -30,10 +34,12 @@ from stlmon import (
     robustness_profile,
     windowed_extremum,
 )
+from stlmon.robustness import _until_series
 from reference import (
     deque_windowed,
     naive_bool,
     naive_rho,
+    naive_until,
     naive_windowed,
     random_formula,
     random_pair,
@@ -310,8 +316,8 @@ class TestTruncation:
 
 class TestUnboundedUntil:
     def test_engine_matches_reference_on_unbounded_until(self):
-        # the parser forbids unbounded U, but the AST admits it and the
-        # engine must apply the same truncation rule
+        # the parser accepts U[lo, inf], and the engine must apply the
+        # same truncation rule to it as to bounded windows
         rng = random.Random(31)
         for _ in range(100):
             trace = random_trace(rng, max_len=12)
@@ -321,3 +327,96 @@ class TestUnboundedUntil:
                 random_formula(rng, 1),
             )
             assert robustness(f, trace).rho == naive_rho(f, trace)
+
+
+def assert_until_matches_oracles(f, trace):
+    assert robustness(f, trace).rho == naive_rho(f, trace)
+    assert boolean_monitor(f, trace) == naive_bool(f, trace)
+    root = robustness_profile(f, trace).root
+    memo = {}
+    assert [float(v) for v in root] == [naive_rho(f, trace, t, memo) for t in range(len(trace))]
+
+
+class TestLinearUntil:
+    def random_until(self, rng, lo, hi):
+        return Until(Interval(float(lo), hi), random_formula(rng, 1), random_formula(rng, 1))
+
+    def test_matches_oracles_on_random_windows(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            trace = random_trace(rng, max_len=30)
+            lo = rng.randrange(0, 6)
+            hi = UNBOUNDED if rng.random() < 0.3 else float(lo + rng.randrange(0, 10))
+            assert_until_matches_oracles(self.random_until(rng, lo, hi), trace)
+
+    def test_lower_bound_at_or_past_trace_end(self):
+        rng = random.Random(33)
+        for _ in range(150):
+            trace = random_trace(rng, max_len=15)
+            lo = len(trace) - 1 + rng.randrange(0, 4)
+            hi = UNBOUNDED if rng.random() < 0.3 else float(lo + rng.randrange(0, 4))
+            assert_until_matches_oracles(self.random_until(rng, lo, hi), trace)
+
+    def test_point_window(self):
+        rng = random.Random(34)
+        for _ in range(150):
+            trace = random_trace(rng, max_len=20)
+            lo = rng.randrange(0, 25)
+            assert_until_matches_oracles(self.random_until(rng, lo, float(lo)), trace)
+
+    def test_two_sample_traces(self):
+        rng = random.Random(35)
+        for _ in range(150):
+            trace = random_trace(rng, min_len=2, max_len=2)
+            lo = rng.randrange(0, 4)
+            hi = UNBOUNDED if rng.random() < 0.3 else float(lo + rng.randrange(0, 3))
+            assert_until_matches_oracles(self.random_until(rng, lo, hi), trace)
+
+    def test_unbounded_with_lower_bound(self):
+        rng = random.Random(36)
+        for _ in range(150):
+            trace = random_trace(rng, max_len=30)
+            lo = rng.randrange(1, 35)
+            assert_until_matches_oracles(self.random_until(rng, lo, UNBOUNDED), trace)
+
+    def test_kernel_matches_direct_definition(self):
+        rng = np.random.default_rng(37)
+        for case in range(24):
+            n = int(rng.integers(250, 350))
+            if case % 2:
+                lhs, rhs = rng.normal(size=n), rng.normal(size=n)
+            else:  # small integers, so ties are common
+                lhs = rng.integers(-3, 4, size=n).astype(np.float64)
+                rhs = rng.integers(-3, 4, size=n).astype(np.float64)
+            lo = int(rng.integers(0, 40))
+            hi = None if case % 3 == 0 else lo + int(rng.integers(0, 120))
+            got = _until_series(lhs, rhs, lo, hi)
+            assert got.tolist() == naive_until(lhs.tolist(), rhs.tolist(), lo, hi), case
+
+    def test_million_samples_within_budget(self):
+        rng = np.random.default_rng(1005)
+        n = 1_000_000
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        trace = Trace(
+            "big",
+            1.0,
+            np.arange(n, dtype=np.float64),
+            {"x": Series(SignalKind.REAL, x.copy()), "y": Series(SignalKind.REAL, y.copy())},
+        )
+        spec = parse_spec(
+            "signal x : real\nsignal y : real\n"
+            "rule unbounded: (x < 3) U[0, inf] (y > 2.5)\n"
+            "rule window: (x < 3) U[10, 200] (y > 2.5)\n"
+        )
+        held = np.minimum.accumulate(3.0 - x)
+        goal = y - 2.5
+        expected = {
+            "unbounded": float(np.max(np.minimum(goal, held))),
+            "window": float(np.max(np.minimum(goal[10:201], held[10:201]))),
+        }
+        for rule in spec.rules:
+            start = time.perf_counter()
+            result = robustness(rule.formula, trace, rule.name)
+            elapsed = time.perf_counter() - start
+            assert result.rho == expected[rule.name]
+            assert elapsed < 1.0, f"{rule.name}: {elapsed * 1000:.0f}ms"
