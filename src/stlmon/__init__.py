@@ -40,7 +40,6 @@ from .formula import (
     Until,
     depth,
     format_number,
-    iter_nodes,
     node_count,
     pretty_print,
     pretty_print_spec,

@@ -24,7 +24,7 @@ from pathlib import Path
 from .formula import Specification, format_number
 from .metrics import CompareReport, FleetReport, compare_fleets, fleet_report
 from .parser import ParseError, parse_spec
-from .robustness import Verdict, evaluate_specification, robustness_profile
+from .robustness import RobustnessResult, Verdict, evaluate_specification, robustness_profile
 from .sim import ConfigError, builtin_presets, format_config, parse_config_text, simulate_fleet
 from .traces import Trace, TraceError, load_trace_csv, load_trace_json, write_trace_csv
 
@@ -55,9 +55,12 @@ def _load_spec(spec_arg: str) -> Specification:
     except UnicodeDecodeError as exc:
         raise CliError(f"specification {path} is not UTF-8: {exc}") from None
     try:
-        return parse_spec(source)
+        spec = parse_spec(source)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from None
+    if not spec.rules:
+        raise CliError("specification has no rules")
+    return spec
 
 
 def _load_trace(path: Path, spec: Specification) -> Trace:
@@ -83,14 +86,18 @@ def _load_trace_dir(directory: str, spec: Specification) -> list[tuple[str, Trac
     return [(p.name, _load_trace(p, spec)) for p in paths]
 
 
+def _evaluate(spec: Specification, trace: Trace) -> list[RobustnessResult]:
+    try:
+        return evaluate_specification(spec, trace)
+    except Exception as exc:
+        raise CliError(f"trace '{trace.id}': {exc}") from None
+
+
 def _fleet_reports(spec: Specification, traces: list[tuple[str, Trace]]) -> list[FleetReport]:
     per_rule: dict[str, list] = {rule.name: [] for rule in spec.rules}
     for _, trace in traces:
-        try:
-            for result in evaluate_specification(spec, trace):
-                per_rule[result.rule_name].append(result)
-        except Exception as exc:
-            raise CliError(f"trace '{trace.id}': {exc}") from None
+        for result in _evaluate(spec, trace):
+            per_rule[result.rule_name].append(result)
     return [fleet_report(name, results) for name, results in per_rule.items()]
 
 
@@ -118,16 +125,10 @@ def _display_pct(value: float) -> str:
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
-    if not spec.rules:
-        raise CliError("specification has no rules")
     rows = []
     for trace_arg in args.traces:
         trace = _load_trace(Path(trace_arg), spec)
-        try:
-            results = evaluate_specification(spec, trace)
-        except Exception as exc:
-            raise CliError(f"trace '{trace.id}': {exc}") from None
-        for result in results:
+        for result in _evaluate(spec, trace):
             rows.append((trace.id, result))
         if args.profile_out:
             _write_profiles(args.profile_out, spec, trace)
@@ -201,8 +202,6 @@ def _report_table(reports: list[FleetReport]) -> str:
 
 def _cmd_report(args) -> int:
     spec = _load_spec(args.spec)
-    if not spec.rules:
-        raise CliError("specification has no rules")
     traces = _load_trace_dir(args.trace_dir, spec)
     reports = _fleet_reports(spec, traces)
     if args.format == "json":
@@ -262,8 +261,6 @@ def _cmd_compare(args) -> int:
     if not 0 < args.alpha < 1:
         raise CliError("alpha must be in (0, 1)")
     spec = _load_spec(args.spec)
-    if not spec.rules:
-        raise CliError("specification has no rules")
     pre_reports = _fleet_reports(spec, _load_trace_dir(args.dir_pre, spec))
     post_reports = _fleet_reports(spec, _load_trace_dir(args.dir_post, spec))
     rows = []

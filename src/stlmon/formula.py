@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 UNBOUNDED = math.inf
 
@@ -238,15 +238,6 @@ class Until(Formula):
 
     def children(self):
         return (self.lhs, self.rhs)
-
-
-def iter_nodes(f: Formula) -> Iterator[Formula]:
-    """Pre-order walk over formula nodes (predicates are not yielded)."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children()))
 
 
 def node_count(f: Formula) -> int:

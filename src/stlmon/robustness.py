@@ -13,6 +13,12 @@ Bounded G/F and `U` are computed in O(n) total per node: G/F via
 `windowed_extremum`, `U` by a backward recurrence plus window extrema.
 Evaluation is pure per (formula, trace) pair; traces and formulas are
 immutable, so many evaluations may run concurrently.
+
+Signals are resolved against the trace in one place, `traces.channel`,
+as evaluation reaches each atom; no operator short-circuits, so every
+atom is reached. The quantitative, boolean and profile read-outs share
+one walk (`_root`), and every evaluation error it raises names its rule,
+reporting the first fault in evaluation order.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .formula import (
     _BinaryFormula,
     _TemporalUnary,
 )
-from .traces import EvalError, SignalKind, Trace, eval_expr
+from .traces import EvalError, SignalKind, Trace, channel, eval_expr
 
 # An interval bound must land on a sample index to within this tolerance
 # (in index units); anything else is rejected rather than silently rounded.
@@ -191,100 +197,45 @@ def _until_series(lhs: np.ndarray, rhs: np.ndarray, lo: int, hi: int | None) -> 
     return out
 
 
-def _atom_series(pred: Predicate, trace: Trace, boolean: bool, rule_name: str) -> np.ndarray:
+def _atom_series(pred: Predicate, trace: Trace, boolean: bool) -> np.ndarray:
     if isinstance(pred, Compare):
         lhs = eval_expr(pred.lhs, trace).values
         rhs = eval_expr(pred.rhs, trace).values
+        margin = rhs - lhs if pred.op in (CmpOp.LT, CmpOp.LE) else lhs - rhs
         if not boolean:
-            if pred.op in (CmpOp.LT, CmpOp.LE):
-                return rhs - lhs
-            return lhs - rhs
-        if pred.op is CmpOp.LT:
-            hold = lhs < rhs
-        elif pred.op is CmpOp.LE:
-            hold = lhs <= rhs
-        elif pred.op is CmpOp.GT:
-            hold = lhs > rhs
-        else:
-            hold = lhs >= rhs
-        return np.where(hold, 1.0, -1.0)
-    if isinstance(pred, EnumEq):
-        series = _channel(trace, pred.signal, SignalKind.ENUM, rule_name)
+            return margin
+        # Exact: a difference of finite floats is zero only for equal
+        # operands (gradual underflow) and keeps its sign on overflow.
+        hold = margin > 0 if pred.op in (CmpOp.LT, CmpOp.GT) else margin >= 0
+    elif isinstance(pred, EnumEq):
+        series = channel(trace, pred.signal, SignalKind.ENUM)
         if pred.variant not in series.variants:
-            raise EvalError(
-                f"rule '{rule_name}': variant '{pred.variant}' not in trace channel "
-                f"'{pred.signal}'"
-            )
+            raise EvalError(f"variant '{pred.variant}' not in trace channel '{pred.signal}'")
         hold = series.values == series.variants.index(pred.variant)
         if pred.negated:
             hold = ~hold
-        return np.where(hold, 1.0, -1.0)
-    if isinstance(pred, BoolIs):
-        series = _channel(trace, pred.signal, SignalKind.BOOL, rule_name)
+    elif isinstance(pred, BoolIs):
+        series = channel(trace, pred.signal, SignalKind.BOOL)
         hold = series.values if pred.expected else ~series.values
-        return np.where(hold, 1.0, -1.0)
-    raise EvalError(f"unknown predicate node {type(pred).__name__}")
-
-
-def _channel(trace: Trace, name: str, kind: SignalKind, rule_name: str):
-    series = trace.channels.get(name)
-    if series is None:
-        raise EvalError(f"rule '{rule_name}': signal '{name}' missing from trace '{trace.id}'")
-    if series.kind is not kind:
-        raise EvalError(
-            f"rule '{rule_name}': signal '{name}' has kind {series.kind.value}, "
-            f"expected {kind.value}"
-        )
-    return series
-
-
-def _expr_signals(expr) -> set[str]:
-    from .formula import Abs, Deriv, SignalRef, _BinaryExpr
-
-    if isinstance(expr, (SignalRef, Deriv)):
-        return {expr.name}
-    if isinstance(expr, Abs):
-        return _expr_signals(expr.child)
-    if isinstance(expr, _BinaryExpr):
-        return _expr_signals(expr.lhs) | _expr_signals(expr.rhs)
-    return set()
-
-
-def _check_against_trace(f: Formula, trace: Trace, rule_name: str) -> None:
-    """Fail fast, naming signal and rule, before any evaluation starts."""
-    if isinstance(f, Atom):
-        pred = f.predicate
-        if isinstance(pred, Compare):
-            for name in sorted(_expr_signals(pred.lhs) | _expr_signals(pred.rhs)):
-                _channel(trace, name, SignalKind.REAL, rule_name)
-        elif isinstance(pred, EnumEq):
-            _channel(trace, pred.signal, SignalKind.ENUM, rule_name)
-        elif isinstance(pred, BoolIs):
-            _channel(trace, pred.signal, SignalKind.BOOL, rule_name)
-        return
-    if isinstance(f, Until):
-        _check_against_trace(f.lhs, trace, rule_name)
-        _check_against_trace(f.rhs, trace, rule_name)
-        return
-    for child in f.children():
-        _check_against_trace(child, trace, rule_name)
+    else:
+        raise EvalError(f"unknown predicate node {type(pred).__name__}")
+    return np.where(hold, 1.0, -1.0)
 
 
 def _series(
     f: Formula,
     trace: Trace,
     boolean: bool,
-    rule_name: str,
     profile: dict[str, np.ndarray] | None,
     path: str,
 ) -> np.ndarray:
     if isinstance(f, Atom):
-        out = _atom_series(f.predicate, trace, boolean, rule_name)
+        out = _atom_series(f.predicate, trace, boolean)
     elif isinstance(f, Not):
-        out = -_series(f.child, trace, boolean, rule_name, profile, path + ".child")
+        out = -_series(f.child, trace, boolean, profile, path + ".child")
     elif isinstance(f, _BinaryFormula):
-        lhs = _series(f.lhs, trace, boolean, rule_name, profile, path + ".lhs")
-        rhs = _series(f.rhs, trace, boolean, rule_name, profile, path + ".rhs")
+        lhs = _series(f.lhs, trace, boolean, profile, path + ".lhs")
+        rhs = _series(f.rhs, trace, boolean, profile, path + ".rhs")
         if isinstance(f, And):
             out = np.minimum(lhs, rhs)
         elif isinstance(f, Or):
@@ -292,13 +243,13 @@ def _series(
         else:
             out = np.maximum(-lhs, rhs)
     elif isinstance(f, _TemporalUnary):
-        child = _series(f.child, trace, boolean, rule_name, profile, path + ".child")
+        child = _series(f.child, trace, boolean, profile, path + ".child")
         lo, hi = _offsets(f.interval, trace.dt)
         mode = "min" if isinstance(f, Globally) else "max"
         out = _shifted_window(child, lo, hi, mode)
     elif isinstance(f, Until):
-        lhs = _series(f.lhs, trace, boolean, rule_name, profile, path + ".lhs")
-        rhs = _series(f.rhs, trace, boolean, rule_name, profile, path + ".rhs")
+        lhs = _series(f.lhs, trace, boolean, profile, path + ".lhs")
+        rhs = _series(f.rhs, trace, boolean, profile, path + ".rhs")
         lo, hi = _offsets(f.interval, trace.dt)
         out = _until_series(lhs, rhs, lo, hi)
     else:
@@ -308,18 +259,30 @@ def _series(
     return out
 
 
+def _root(
+    f: Formula,
+    trace: Trace,
+    rule_name: str,
+    boolean: bool = False,
+    profile: dict[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The root series of `f`; any evaluation error is re-raised naming the rule."""
+    try:
+        return _series(f, trace, boolean, profile, "root")
+    except EvalError as exc:
+        raise EvalError(f"rule '{rule_name}': {exc}") from None
+
+
 def robustness(f: Formula, trace: Trace, rule_name: str = "rule") -> RobustnessResult:
     """Robustness of the formula at t=0, with the sign-based verdict."""
-    _check_against_trace(f, trace, rule_name)
-    rho = float(_series(f, trace, False, rule_name, None, "root")[0])
+    rho = float(_root(f, trace, rule_name)[0]) + 0.0  # publish -0.0 as 0.0
     return RobustnessResult(rule_name, rho, Verdict.from_rho(rho))
 
 
 def robustness_profile(f: Formula, trace: Trace, rule_name: str = "rule") -> RobustnessProfile:
     """Like `robustness` but retains every node's full robustness series."""
-    _check_against_trace(f, trace, rule_name)
     profile: dict[str, np.ndarray] = {}
-    _series(f, trace, False, rule_name, profile, "root")
+    _root(f, trace, rule_name, profile=profile)
     for arr in profile.values():
         arr.flags.writeable = False
     return RobustnessProfile(profile)
@@ -328,11 +291,10 @@ def robustness_profile(f: Formula, trace: Trace, rule_name: str = "rule") -> Rob
 def boolean_monitor(f: Formula, trace: Trace, rule_name: str = "rule") -> bool:
     """Classical boolean semantics at t=0 under the same truncation rule.
 
-    Atoms use their comparison directly, so strict vs non-strict bounds
-    are respected even where the quantitative margin is zero.
+    Atoms test the sign of their margin, strictly for `<`/`>`, so strict
+    vs non-strict bounds are respected even where the margin is zero.
     """
-    _check_against_trace(f, trace, rule_name)
-    return bool(_series(f, trace, True, rule_name, None, "root")[0] > 0)
+    return bool(_root(f, trace, rule_name, boolean=True)[0] > 0)
 
 
 def evaluate_specification(spec: Specification, trace: Trace) -> list[RobustnessResult]:

@@ -1,5 +1,6 @@
-"""Rollout traces: loading, validation, serialization, and evaluation of
-signal expressions into sample-aligned real series.
+"""Rollout traces: loading, validation, serialization, resolution of
+signal names to channels (`channel`), and evaluation of signal
+expressions into sample-aligned real series.
 
 A trace is a uniformly sampled record of named channels over one episode.
 Loaders validate shape and typing eagerly so the engine can assume clean
@@ -294,25 +295,26 @@ def eval_expr(expr: SignalExpr, trace: Trace) -> EvaluatedSignal:
     return EvaluatedSignal(values)
 
 
-def _real_channel(trace: Trace, name: str) -> np.ndarray:
+def channel(trace: Trace, name: str, kind: SignalKind) -> Series:
+    """The trace's channel `name`, which must hold `kind` values."""
     series = trace.channels.get(name)
     if series is None:
         raise EvalError(f"signal '{name}' missing from trace '{trace.id}'")
-    if series.kind is not SignalKind.REAL:
-        raise EvalError(f"signal '{name}' is not real-valued")
-    return series.values
+    if series.kind is not kind:
+        raise EvalError(f"signal '{name}' is {series.kind.value}-valued, not {kind.value}-valued")
+    return series
 
 
 def _eval(expr: SignalExpr, trace: Trace) -> np.ndarray:
     n = len(trace)
     if isinstance(expr, SignalRef):
-        return _real_channel(trace, expr.name).astype(np.float64, copy=True)
+        return channel(trace, expr.name, SignalKind.REAL).values.astype(np.float64, copy=True)
     if isinstance(expr, Constant):
         return np.full(n, float(expr.value))
     if isinstance(expr, Abs):
         return np.abs(_eval(expr.child, trace))
     if isinstance(expr, Deriv):
-        v = _real_channel(trace, expr.name)
+        v = channel(trace, expr.name, SignalKind.REAL).values
         out = np.zeros(n)
         out[1:] = (v[1:] - v[:-1]) / trace.dt
         return out

@@ -280,3 +280,43 @@ class TestEntryPoints:
         assert b"rho=" in expected.stdout
         for got in results[1:]:
             assert (got.returncode, got.stdout) == (expected.returncode, expected.stdout)
+
+
+class TestCheckOutputContract:
+    def test_exact_zero_prints_positive_zero(self, tmp_path, capsys):
+        spec = tmp_path / "zero.stl"
+        spec.write_text("signal x : real\nrule r: !(x > 0)\n")
+        trace = tmp_path / "z.csv"
+        trace.write_text("time,x\n0,0\n1,0\n")
+        code = run(["check", str(spec), str(trace), "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert '"rho": 0.0,' in out
+        assert "-0" not in out
+        assert run(["check", str(spec), str(trace)]) == 0
+        assert capsys.readouterr().out == "z  r  rho=0  ExactlySatisfied\n"
+
+    def test_evaluation_error_names_trace_and_rule(self, tmp_path, capsys):
+        spec = tmp_path / "al.stl"
+        spec.write_text("signal x : real\nrule al: G[0, 0.25] (x > 0)\n")
+        trace = tmp_path / "j.json"
+        trace.write_text('{"id": "j", "dt": 0.1, "signals": {"x": [1, 2, 3]}}')
+        assert run(["check", str(spec), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: trace 'j': rule 'al': interval bound 0.25 is not a whole number "
+            "of samples at dt=0.1\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_spec_without_rules_exits_two(self, workspace, command, capsys):
+        empty = workspace / "empty.stl"
+        empty.write_text("signal speed : real\n")
+        targets = {
+            "check": [str(workspace / "ok.csv")],
+            "report": [str(workspace)],
+            "compare": [str(workspace), str(workspace)],
+        }
+        assert run([command, str(empty), *targets[command]]) == 2
+        assert capsys.readouterr().err == "error: specification has no rules\n"
