@@ -18,7 +18,6 @@ from .formula import (
     Compare,
     Constant,
     Deriv,
-    Diagnostic,
     Div,
     EnumEq,
     Eventually,
@@ -43,7 +42,6 @@ from .formula import (
     node_count,
     pretty_print,
     pretty_print_spec,
-    validate,
 )
 from .metrics import (
     CompareReport,

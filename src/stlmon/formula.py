@@ -1,15 +1,17 @@
 """Formula AST for the rule language: signal declarations, signal
-expressions, predicates, temporal formulas, validation and printing.
+expressions, predicates, temporal formulas and printing.
 
 All nodes are immutable (frozen dataclasses) and compare structurally,
 so formulas can be shared freely across concurrent evaluators and used
-as dict keys.
+as dict keys. A parsed specification has been checked by the parser;
+the only check the AST makes itself is that every `Interval` is legal,
+so a hand-built formula cannot reach the evaluator with a window that
+starts before the sample or ends before it begins.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -22,13 +24,6 @@ UNBOUNDED = math.inf
 KEYWORDS = frozenset(
     {"signal", "rule", "real", "bool", "enum", "G", "F", "U", "inf", "true", "false"}
 )
-
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def is_identifier(name: str) -> bool:
-    return bool(_IDENT_RE.match(name)) and name not in KEYWORDS
-
 
 def format_number(value: float) -> str:
     """Shortest decimal form that parses back to the same float.
@@ -66,6 +61,16 @@ class Interval:
 
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError("interval bound is NaN")
+        if self.lo < 0:
+            raise ValueError("interval lo < 0")
+        if math.isinf(self.lo):
+            raise ValueError("interval lo is not finite")
+        if self.hi < self.lo:
+            raise ValueError("interval hi < lo")
 
     @property
     def unbounded(self) -> bool:
@@ -269,137 +274,6 @@ class Specification:
             if decl.name == name:
                 return decl
         return None
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """A single well-formedness violation: where it is and what is wrong."""
-
-    rule: Optional[str]
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        where = f"rule '{self.rule}': " if self.rule else ""
-        return f"{where}{self.path}: {self.message}"
-
-
-def validate(spec: Specification) -> list[Diagnostic]:
-    """Check a specification for structural well-formedness.
-
-    Returns an empty list iff every rule references only declared signals
-    with kind-correct predicates and legal intervals. Diagnostics are
-    emitted in a deterministic pre-order, one per violation.
-    """
-    out: list[Diagnostic] = []
-    seen_decls: set[str] = set()
-    for i, decl in enumerate(spec.declarations):
-        path = f"declarations[{i}]"
-        if not is_identifier(decl.name):
-            out.append(Diagnostic(None, path, f"invalid signal name {decl.name!r}"))
-        if decl.name in seen_decls:
-            out.append(Diagnostic(None, path, f"duplicate signal '{decl.name}'"))
-        seen_decls.add(decl.name)
-        if decl.kind is SignalKind.ENUM:
-            if not decl.enum_variants:
-                out.append(Diagnostic(None, path, "enum with no variants"))
-            if len(set(decl.enum_variants)) != len(decl.enum_variants):
-                out.append(Diagnostic(None, path, "duplicate enum variants"))
-            for v in decl.enum_variants:
-                if not is_identifier(v):
-                    out.append(Diagnostic(None, path, f"invalid variant name {v!r}"))
-        elif decl.enum_variants:
-            out.append(Diagnostic(None, path, "variants on non-enum signal"))
-
-    seen_rules: set[str] = set()
-    for i, rule in enumerate(spec.rules):
-        if not is_identifier(rule.name):
-            out.append(Diagnostic(rule.name, f"rules[{i}]", f"invalid rule name {rule.name!r}"))
-        if rule.name in seen_rules:
-            out.append(Diagnostic(rule.name, f"rules[{i}]", f"duplicate rule '{rule.name}'"))
-        seen_rules.add(rule.name)
-        _check_formula(spec, rule.name, rule.formula, "formula", out)
-    return out
-
-
-def _check_interval(spec, rule, iv: Interval, path, out) -> None:
-    if math.isnan(iv.lo) or math.isnan(iv.hi):
-        out.append(Diagnostic(rule, path, "interval bound is NaN"))
-        return
-    if iv.lo < 0:
-        out.append(Diagnostic(rule, path, "interval lo < 0"))
-    if not iv.unbounded and iv.hi < iv.lo:
-        out.append(Diagnostic(rule, path, "interval hi < lo"))
-    if math.isinf(iv.lo):
-        out.append(Diagnostic(rule, path, "interval lo is not finite"))
-
-
-def _check_expr(spec, rule, expr: SignalExpr, path, out) -> None:
-    if isinstance(expr, SignalRef):
-        decl = spec.signal(expr.name)
-        if decl is None:
-            out.append(Diagnostic(rule, path, f"unknown signal '{expr.name}'"))
-        elif decl.kind is not SignalKind.REAL:
-            out.append(Diagnostic(rule, path, f"signal '{expr.name}' is not real-valued"))
-    elif isinstance(expr, Constant):
-        if math.isnan(expr.value) or math.isinf(expr.value):
-            out.append(Diagnostic(rule, path, "non-finite constant"))
-    elif isinstance(expr, Deriv):
-        decl = spec.signal(expr.name)
-        if decl is None:
-            out.append(Diagnostic(rule, path, f"unknown signal '{expr.name}'"))
-        elif decl.kind is not SignalKind.REAL:
-            out.append(Diagnostic(rule, path, f"deriv of non-real signal '{expr.name}'"))
-    elif isinstance(expr, Abs):
-        _check_expr(spec, rule, expr.child, path + ".child", out)
-    elif isinstance(expr, _BinaryExpr):
-        _check_expr(spec, rule, expr.lhs, path + ".lhs", out)
-        _check_expr(spec, rule, expr.rhs, path + ".rhs", out)
-    else:
-        out.append(Diagnostic(rule, path, f"unknown expression node {type(expr).__name__}"))
-
-
-def _check_predicate(spec, rule, pred: Predicate, path, out) -> None:
-    if isinstance(pred, Compare):
-        _check_expr(spec, rule, pred.lhs, path + ".lhs", out)
-        _check_expr(spec, rule, pred.rhs, path + ".rhs", out)
-    elif isinstance(pred, EnumEq):
-        decl = spec.signal(pred.signal)
-        if decl is None:
-            out.append(Diagnostic(rule, path, f"unknown signal '{pred.signal}'"))
-        elif decl.kind is not SignalKind.ENUM:
-            out.append(Diagnostic(rule, path, f"signal '{pred.signal}' is not an enum"))
-        elif pred.variant not in decl.enum_variants:
-            out.append(
-                Diagnostic(rule, path, f"undeclared variant '{pred.variant}' for '{pred.signal}'")
-            )
-    elif isinstance(pred, BoolIs):
-        decl = spec.signal(pred.signal)
-        if decl is None:
-            out.append(Diagnostic(rule, path, f"unknown signal '{pred.signal}'"))
-        elif decl.kind is not SignalKind.BOOL:
-            out.append(Diagnostic(rule, path, f"signal '{pred.signal}' is not boolean"))
-    else:
-        out.append(Diagnostic(rule, path, f"unknown predicate node {type(pred).__name__}"))
-
-
-def _check_formula(spec, rule, f: Formula, path, out) -> None:
-    if isinstance(f, Atom):
-        _check_predicate(spec, rule, f.predicate, path, out)
-    elif isinstance(f, Not):
-        _check_formula(spec, rule, f.child, path + ".child", out)
-    elif isinstance(f, _BinaryFormula):
-        _check_formula(spec, rule, f.lhs, path + ".lhs", out)
-        _check_formula(spec, rule, f.rhs, path + ".rhs", out)
-    elif isinstance(f, _TemporalUnary):
-        _check_interval(spec, rule, f.interval, path + ".interval", out)
-        _check_formula(spec, rule, f.child, path + ".child", out)
-    elif isinstance(f, Until):
-        _check_interval(spec, rule, f.interval, path + ".interval", out)
-        _check_formula(spec, rule, f.lhs, path + ".lhs", out)
-        _check_formula(spec, rule, f.rhs, path + ".rhs", out)
-    else:
-        out.append(Diagnostic(rule, path, f"unknown formula node {type(f).__name__}"))
 
 
 # ---------------------------------------------------------------------------

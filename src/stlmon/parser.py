@@ -7,9 +7,12 @@ A specification file is a declarations section followed by named rules:
 
     rule speed_limit: G[0, inf] (speed < 900)
 
-Whitespace is insignificant and `#` comments run to end of line. Every
-input either parses to a validated Specification or raises ParseError
-with a source span; no other exception escapes.
+Whitespace is insignificant and `#` comments run to end of line.
+
+The parser is the one place a specification is checked. Every input
+either parses to a well-formed Specification (unique names, declared
+signals, kind-correct predicates, legal intervals) or raises ParseError
+at the source span of its first fault; no other exception escapes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .formula import (
     Specification,
     Sub,
     Until,
-    validate,
 )
 
 
@@ -190,13 +192,7 @@ class _Parser:
             raise self.error(
                 f"unexpected {_describe(self.peek())}", ("'signal'", "'rule'", "end of input")
             )
-        spec = Specification(tuple(self.decls.values()), tuple(rules))
-        # Inline checks above should leave nothing for validate to find;
-        # surface anything that slips through as a parse error anyway.
-        diagnostics = validate(spec)
-        if diagnostics:
-            raise ParseError(SourceSpan(1, 1), str(diagnostics[0]))
-        return spec
+        return Specification(tuple(self.decls.values()), tuple(rules))
 
     def declaration(self) -> None:
         self.expect("keyword", "signal")
@@ -283,21 +279,20 @@ class _Parser:
             self.nesting -= 1
 
     def interval(self) -> Interval:
-        open_tok = self.expect("op", "[")
-        lo_tok = self.expect("number", what="number")
+        self.expect("op", "[")
+        lo = self.expect("number", what="number").value
         self.expect("op", ",")
+        hi_tok = self.peek()
         if self.at("keyword", "inf"):
             self.advance()
             hi = UNBOUNDED
-            hi_span = open_tok.span
         else:
-            hi_tok = self.expect("number", what="number or 'inf'")
-            hi = hi_tok.value
-            hi_span = hi_tok.span
+            hi = self.expect("number", what="number or 'inf'").value
         self.expect("op", "]")
-        if hi != UNBOUNDED and hi < lo_tok.value:
-            raise ParseError(hi_span, "interval hi < lo")
-        return Interval(lo_tok.value, hi)
+        try:
+            return Interval(lo, hi)
+        except ValueError as exc:  # the grammar admits only hi < lo
+            raise ParseError(hi_tok.span, str(exc)) from None
 
     def primary(self) -> Formula:
         if self.at("op", "("):
@@ -441,7 +436,7 @@ def _pos_of(err: ParseError) -> tuple[int, int]:
 
 
 def parse_spec(source: str) -> Specification:
-    """Parse a specification source text into a validated Specification.
+    """Parse a specification source text into a well-formed Specification.
 
     Raises ParseError (and nothing else) on any malformed input.
     """

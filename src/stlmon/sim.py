@@ -413,8 +413,6 @@ def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams
         menu = tuple(float(c) for c in scenario["angular_menu"].split(","))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    if len(menu) != 5:
-        raise ConfigError("angular_menu must have exactly 5 entries")
 
     cfg = ScenarioConfig(
         map_half_extent=number("map_half_extent"),

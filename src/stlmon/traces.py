@@ -41,6 +41,7 @@ class TraceError(Exception):
     """Malformed trace data; carries a 1-based row/column when known."""
 
     def __init__(self, message: str, row: int | None = None, column: int | None = None):
+        self.message = message
         self.row = row
         self.column = column
         where = ""
@@ -189,7 +190,11 @@ def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str =
     if dt <= 0:
         raise TraceError("times not strictly increasing", row=3)
     channels = {decl.name: _make_series(decl, col) for decl, col in zip(decls, columns)}
-    return Trace(trace_id, dt, np.asarray(times, dtype=np.float64), channels)
+    try:
+        return Trace(trace_id, dt, np.asarray(times, dtype=np.float64), channels)
+    except TraceError as exc:
+        # Trace numbers its samples from 1; below the header, sample k is file row k + 1.
+        raise TraceError(exc.message, row=exc.row + 1) from None
 
 
 def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:

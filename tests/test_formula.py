@@ -1,7 +1,8 @@
-"""AST validation, canonical printing, and structural invariants."""
+"""Spec-time validation, canonical printing, and structural invariants."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -11,13 +12,13 @@ from stlmon import (
     CmpOp,
     Compare,
     Constant,
-    Deriv,
     EnumEq,
     Eventually,
     Globally,
     Implies,
     Interval,
     Not,
+    ParseError,
     Rule,
     SignalDecl,
     SignalKind,
@@ -27,14 +28,20 @@ from stlmon import (
     depth,
     format_number,
     node_count,
+    parse_spec,
     pretty_print,
-    validate,
+    pretty_print_spec,
 )
-from reference import PALETTE, random_formula
+from reference import random_formula
 
 SPEED = SignalDecl("speed", SignalKind.REAL)
 SURFACE = SignalDecl("surface", SignalKind.ENUM, ("track", "offroad"))
 DONE = SignalDecl("finished_lap", SignalKind.BOOL)
+DECLS = (
+    "signal speed : real\n"
+    "signal surface : enum {track, offroad}\n"
+    "signal finished_lap : bool\n"
+)
 
 
 def spec_with(formula, decls=(SPEED, SURFACE, DONE), name="r"):
@@ -45,66 +52,78 @@ def speed_lt(c):
     return Atom(Compare(SignalRef("speed"), CmpOp.LT, Constant(c)))
 
 
+def first_fault(source):
+    """The message and (line, column) of the ParseError `source` raises."""
+    with pytest.raises(ParseError) as err:
+        parse_spec(source)
+    return err.value.message, (err.value.span.line, err.value.span.column)
+
+
 class TestValidate:
+    """The parser is the one spec-time checker: each fault a hand-built AST
+    can carry is rejected in source form at the span of the fault."""
+
     def test_well_formed_spec_has_no_diagnostics(self):
-        f = Globally(Interval(0.0, UNBOUNDED), speed_lt(900))
-        assert validate(spec_with(f)) == []
+        spec = spec_with(Globally(Interval(0.0, UNBOUNDED), speed_lt(900)))
+        assert parse_spec(pretty_print_spec(spec)) == spec
 
     def test_unknown_signal(self):
-        f = Atom(Compare(SignalRef("velocity"), CmpOp.LT, Constant(900)))
-        diags = validate(spec_with(f))
-        assert len(diags) == 1
-        assert "unknown signal" in diags[0].message
-        assert diags[0].rule == "r"
+        assert first_fault(DECLS + "rule r: velocity < 900") == (
+            "unknown signal 'velocity'", (4, 9))
 
     def test_interval_hi_below_lo(self):
-        f = Eventually(Interval(5.0, 2.0), speed_lt(900))
-        diags = validate(spec_with(f))
-        assert len(diags) == 1
-        assert "interval hi < lo" in diags[0].message
-        assert "interval" in diags[0].path
+        assert first_fault("signal speed : real\nrule r: F[5, 2] (speed < 900)") == (
+            "interval hi < lo", (2, 14))
 
     def test_negative_lo(self):
-        f = Globally(Interval(-1.0, 2.0), speed_lt(900))
-        assert any("interval lo < 0" in d.message for d in validate(spec_with(f)))
+        # Interval bounds are unsigned literals, so lo < 0 cannot be written.
+        assert first_fault(DECLS + "rule r: G[-1, 2] (speed < 900)") == (
+            "unexpected op '-'", (4, 11))
 
     def test_undeclared_enum_variant(self):
-        f = Atom(EnumEq("surface", "grass"))
-        diags = validate(spec_with(f))
-        assert any("undeclared variant" in d.message for d in diags)
+        assert first_fault(DECLS + "rule r: surface == grass") == (
+            "undeclared variant 'grass' for 'surface'", (4, 20))
 
     def test_enum_in_arithmetic(self):
-        f = Atom(Compare(SignalRef("surface"), CmpOp.LT, Constant(1)))
-        diags = validate(spec_with(f))
-        assert any("not real-valued" in d.message for d in diags)
+        assert first_fault(DECLS + "rule r: speed < surface") == (
+            "signal 'surface' is not real-valued", (4, 17))
 
     def test_deriv_of_bool(self):
-        f = Atom(Compare(Deriv("finished_lap"), CmpOp.LT, Constant(1)))
-        assert any("deriv of non-real" in d.message for d in validate(spec_with(f)))
+        assert first_fault(DECLS + "rule r: deriv(finished_lap) < 1") == (
+            "deriv of non-real signal 'finished_lap'", (4, 15))
 
     def test_bool_predicate_on_real_signal(self):
-        f = Atom(BoolIs("speed"))
-        assert any("not boolean" in d.message for d in validate(spec_with(f)))
+        assert first_fault(DECLS + "rule r: speed == true") == (
+            "'==' and '!=' apply only to enum or bool signals", (4, 15))
 
     def test_duplicate_rule_names(self):
-        f = speed_lt(1)
-        spec = Specification((SPEED,), (Rule("r", f), Rule("r", f)))
-        assert any("duplicate rule" in d.message for d in validate(spec))
+        assert first_fault("signal speed : real\nrule r: speed < 1\nrule r: speed < 1") == (
+            "duplicate rule 'r'", (3, 6))
 
     def test_duplicate_declaration(self):
-        spec = Specification((SPEED, SPEED), ())
-        assert any("duplicate signal" in d.message for d in validate(spec))
+        assert first_fault("signal speed : real\nsignal speed : real\n") == (
+            "duplicate signal 'speed'", (2, 8))
 
     def test_deterministic_and_order_stable(self):
-        f = Eventually(
-            Interval(5.0, 2.0),
-            Atom(Compare(SignalRef("nope"), CmpOp.GT, SignalRef("also_nope"))),
-        )
-        first = validate(spec_with(f))
-        second = validate(spec_with(f))
-        assert first == second
-        assert len(first) == 3  # bad interval + two unknown signals, in tree order
-        assert "interval" in first[0].path
+        source = "signal speed : real\nrule r: F[5, 2] (nope > also_nope)"
+        # Three faults; the first in source order is reported, every time.
+        assert first_fault(source) == first_fault(source) == ("interval hi < lo", (2, 14))
+
+
+class TestInterval:
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (-1.0, 0.0, "interval lo < 0"),
+            (5.0, 2.0, "interval hi < lo"),
+            (math.nan, 2.0, "interval bound is NaN"),
+            (0.0, math.nan, "interval bound is NaN"),
+            (math.inf, UNBOUNDED, "interval lo is not finite"),
+        ],
+    )
+    def test_illegal_bounds_rejected(self, lo, hi, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Interval(lo, hi)
 
 
 class TestPrettyPrint:
@@ -152,12 +171,6 @@ class TestNodeCounts:
         for _ in range(200):
             f = random_formula(rng, max_depth=4)
             assert depth(f) <= 5  # depth counts nodes, so max_depth+1 levels
-
-    def test_random_formulas_validate_cleanly(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            f = random_formula(rng, max_depth=4)
-            assert validate(Specification(PALETTE, (Rule("r", f),))) == []
 
     def test_structural_equality(self):
         a = Globally(Interval(0.0, UNBOUNDED), speed_lt(900))

@@ -160,6 +160,7 @@ class TestParseErrors:
             ("signal s : real\nsignal s : bool\nrule r: s < 1", "duplicate signal"),
             ("signal s : real\nrule r: s < 1\nrule r: s < 2", "duplicate rule"),
             ("signal s : enum {a, a}\nrule r: s == a", "duplicate variant"),
+            ("signal m : enum {a}\nrule r: 1 < m", "not real-valued"),
         ],
     )
     def test_message(self, source, fragment):

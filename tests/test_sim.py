@@ -1,6 +1,7 @@
 """Simulator: determinism, kinematics, obstacle distances, and config I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,13 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("gravity = 9.8\n")
+
+    def test_menu_size_checked_when_parsing(self):
+        cfg, pre, _ = builtin_presets()
+        text = format_config(cfg, {"pre": pre})
+        text = re.sub(r"(?m)^angular_menu = .*$", "angular_menu = -1,0,1", text)
+        with pytest.raises(ConfigError, match="^angular_menu must have exactly 5 entries$"):
+            parse_config_text(text)
 
     def test_missing_scenario_keys_reported(self):
         with pytest.raises(ConfigError, match="missing scenario keys"):

@@ -58,8 +58,15 @@ class TestCsvLoader:
             load_trace_csv("time,velocity\n0,1\n1,2\n", SPEC)
 
     def test_non_uniform_sampling(self):
-        with pytest.raises(TraceError, match="non-uniform sampling"):
+        with pytest.raises(TraceError, match="non-uniform sampling") as err:
             load_trace_csv("time,speed\n0,1\n1,2\n5,3\n", SPEC)
+        assert err.value.row == 4
+
+    @pytest.mark.parametrize("times, row", [("0,0,1", 3), ("0,1,1", 4)])
+    def test_times_not_increasing_names_file_row(self, times, row):
+        text = "time,speed\n" + "".join(f"{t},1\n" for t in times.split(","))
+        with pytest.raises(TraceError, match=f"^row {row}: times not strictly increasing$"):
+            load_trace_csv(text, SPEC)
 
     def test_fewer_than_two_rows(self):
         with pytest.raises(TraceError, match="fewer than 2 rows"):
