@@ -21,12 +21,20 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .formula import Specification, format_number
+from .formula import SignalKind, Specification, format_number
 from .metrics import CompareReport, FleetReport, compare_fleets, fleet_report
 from .parser import ParseError, parse_spec
 from .robustness import RobustnessResult, Verdict, evaluate_specification, robustness_profile
 from .sim import ConfigError, builtin_presets, format_config, parse_config_text, simulate_fleet
-from .traces import Trace, TraceError, load_trace_csv, load_trace_json, write_trace_csv
+from .traces import (
+    Series,
+    Trace,
+    TraceError,
+    load_trace_csv,
+    load_trace_json,
+    write_columns_csv,
+    write_trace_csv,
+)
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -161,14 +169,9 @@ def _write_profiles(out_dir: str, spec: Specification, trace: Trace) -> None:
     root.mkdir(parents=True, exist_ok=True)
     for rule in spec.rules:
         profile = robustness_profile(rule.formula, trace, rule.name)
-        paths = sorted(profile.series)
-        lines = [",".join(["time"] + paths)]
-        for i in range(len(trace)):
-            cells = [format_number(float(trace.times[i]))]
-            cells += [format_number(float(profile.series[p][i])) for p in paths]
-            lines.append(",".join(cells))
+        columns = {p: Series(SignalKind.REAL, profile.series[p]) for p in sorted(profile.series)}
         (root / f"{trace.id}__{rule.name}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
+            write_columns_csv(trace.times, columns), encoding="utf-8"
         )
 
 

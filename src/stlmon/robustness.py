@@ -9,8 +9,9 @@ Truncation: windows are clipped to the end of the trace, and a window
 that starts past the end degenerates to the final sample. This keeps
 every robustness value finite on finite episodes.
 
-Bounded G/F and `U` are computed in O(n) total per node: G/F via
-`windowed_extremum`, `U` by a backward recurrence plus window extrema.
+G/F and `U` are computed in O(n) total per node: bounded G/F via
+`windowed_extremum`, unbounded G/F by one suffix sweep, and `U` by a
+backward recurrence plus window extrema.
 Evaluation is pure per (formula, trace) pair; traces and formulas are
 immutable, so many evaluations may run concurrently.
 
@@ -141,8 +142,11 @@ def _offsets(interval: Interval, dt: float) -> tuple[int, int | None]:
 
 def _shifted_window(child: np.ndarray, lo: int, hi: int | None, mode: str) -> np.ndarray:
     n = len(child)
-    width = (n - 1) if hi is None else (hi - lo)
-    base = windowed_extremum(child, width, mode)
+    if hi is None:  # the window runs to the end: one suffix sweep
+        op = np.minimum if mode == "min" else np.maximum
+        base = op.accumulate(child[::-1])[::-1]
+    else:
+        base = windowed_extremum(child, hi - lo, mode)
     idx = np.minimum(np.arange(n) + lo, n - 1)
     return base[idx]
 

@@ -98,14 +98,15 @@ class ScenarioConfig:
     angular_menu: tuple[float, float, float, float, float]
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
+        # `not 0 < v < inf` also rejects NaN, which fails every comparison
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be finite and > 0")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
-        if self.map_half_extent <= 0:
-            raise ConfigError("map_half_extent must be > 0")
-        if self.linear_speed <= 0:
-            raise ConfigError("linear_speed must be > 0")
+        if not 0 < self.map_half_extent < math.inf:
+            raise ConfigError("map_half_extent must be finite and > 0")
+        if not 0 < self.linear_speed < math.inf:
+            raise ConfigError("linear_speed must be finite and > 0")
         if len(self.angular_menu) != 5:
             raise ConfigError("angular_menu must have exactly 5 entries")
         ordered = sorted(self.angular_menu)
@@ -414,13 +415,16 @@ def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
 
+    max_steps = number("max_steps")
+    if not max_steps.is_integer():
+        raise ConfigError(f"max_steps must be a whole number: {scenario['max_steps']!r}")
     cfg = ScenarioConfig(
         map_half_extent=number("map_half_extent"),
         obstacles=obstacles,
         goal_sampler=goal_sampler,
         linear_speed=number("linear_speed"),
         dt=number("dt"),
-        max_steps=int(number("max_steps")),
+        max_steps=int(max_steps),
         angular_menu=menu,  # type: ignore[arg-type]
     )
 

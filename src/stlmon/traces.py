@@ -5,6 +5,12 @@ expressions into sample-aligned real series.
 A trace is a uniformly sampled record of named channels over one episode.
 Loaders validate shape and typing eagerly so the engine can assume clean
 data; loaded arrays are frozen (read-only) and safe to share.
+
+The CSV codec works a whole column at a time: the loader transposes the
+rows and decodes each column in one pass, and the writer formats each
+column from one `tolist()`. Faults are named by row: when a column fails
+to decode, `_raise_first_fault` walks the rows in order and raises the
+first bad row or cell with its row and column. That walk builds no trace.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ class Trace:
     def __post_init__(self):
         if len(self.times) < 2:
             raise TraceError("trace must have at least 2 samples")
+        if not math.isfinite(self.dt):
+            raise TraceError("non-finite dt")
         if self.dt <= 0:
             raise TraceError("nonpositive dt")
         gaps = np.diff(self.times)
@@ -117,22 +125,21 @@ def _decode(data: Union[bytes, str]) -> str:
     return data
 
 
-def _parse_cell(cell: str, decl, row: int, column: int):
-    if decl.kind is SignalKind.REAL:
+def _check_cell(cell: str, decl, row: int, column: int) -> None:
+    """Raise the TraceError for a bad cell; `decl` is None for the time column."""
+    if decl is None or decl.kind is SignalKind.REAL:
         try:
             value = float(cell)
         except ValueError:
-            raise TraceError(f"bad real value {cell!r}", row=row, column=column) from None
+            what = "time" if decl is None else "real"
+            raise TraceError(f"bad {what} value {cell!r}", row=row, column=column) from None
         if not math.isfinite(value):
             raise TraceError(f"non-finite value {cell!r}", row=row, column=column)
-        return value
-    if decl.kind is SignalKind.BOOL:
+    elif decl.kind is SignalKind.BOOL:
         if cell not in _BOOL_CELLS:
             raise TraceError(f"bad bool value {cell!r}", row=row, column=column)
-        return _BOOL_CELLS[cell]
-    if cell not in decl.enum_variants:
+    elif cell not in decl.enum_variants:
         raise TraceError(f"undeclared variant {cell!r}", row=row, column=column)
-    return decl.enum_variants.index(cell)
 
 
 def _make_series(decl, column_values) -> Series:
@@ -141,6 +148,33 @@ def _make_series(decl, column_values) -> Series:
     if decl.kind is SignalKind.BOOL:
         return Series(decl.kind, np.asarray(column_values, dtype=np.bool_))
     return Series(decl.kind, np.asarray(column_values, dtype=np.int64), decl.enum_variants)
+
+
+def _finite_reals(cells) -> np.ndarray:
+    values = np.array(list(map(float, cells)))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def _decode_column(decl, cells) -> Series:
+    """One CSV column as a Series; raises ValueError/KeyError on any bad cell."""
+    if decl.kind is SignalKind.REAL:
+        return Series(decl.kind, _finite_reals(cells))
+    if decl.kind is SignalKind.BOOL:
+        lookup = _BOOL_CELLS
+    else:
+        lookup = {v: decl.enum_variants.index(v) for v in decl.enum_variants}
+    return _make_series(decl, list(map(lookup.__getitem__, cells)))
+
+
+def _raise_first_fault(body: list[list[str]], decls, width: int) -> None:
+    """Raise the TraceError of the first bad row or cell in row-major order."""
+    for i, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise TraceError(f"malformed row: expected {width} cells, got {len(row)}", row=i)
+        for j, (decl, cell) in enumerate(zip([None, *decls], row), start=1):
+            _check_cell(cell, decl, i, j)
 
 
 def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str = "trace") -> Trace:
@@ -169,32 +203,27 @@ def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str =
             raise TraceError(f"duplicate column '{name}'", row=1, column=j)
         decls.append(decl)
 
-    if len(rows) - 1 < 2:
+    body = rows[1:]
+    if len(body) < 2:
         raise TraceError("fewer than 2 rows")
-    times: list[float] = []
-    columns: list[list] = [[] for _ in decls]
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise TraceError(
-                f"malformed row: expected {len(header)} cells, got {len(row)}", row=i
-            )
-        try:
-            t = float(row[0])
-        except ValueError:
-            raise TraceError(f"bad time value {row[0]!r}", row=i, column=1) from None
-        times.append(t)
-        for j, (decl, cell) in enumerate(zip(decls, row[1:])):
-            columns[j].append(_parse_cell(cell, decl, i, j + 2))
+    try:
+        if set(map(len, body)) != {len(header)}:
+            raise ValueError("malformed row")
+        columns = list(zip(*body))
+        times = _finite_reals(columns[0])
+        channels = {d.name: _decode_column(d, cells) for d, cells in zip(decls, columns[1:])}
+    except (ValueError, KeyError):
+        _raise_first_fault(body, decls, len(header))
+        raise  # the walk found no fault: the decoder and the walk disagree
 
-    dt = times[1] - times[0]
+    dt = float(times[1]) - float(times[0])
     if dt <= 0:
         raise TraceError("times not strictly increasing", row=3)
-    channels = {decl.name: _make_series(decl, col) for decl, col in zip(decls, columns)}
     try:
-        return Trace(trace_id, dt, np.asarray(times, dtype=np.float64), channels)
+        return Trace(trace_id, dt, times, channels)
     except TraceError as exc:
         # Trace numbers its samples from 1; below the header, sample k is file row k + 1.
-        raise TraceError(exc.message, row=exc.row + 1) from None
+        raise TraceError(exc.message, row=None if exc.row is None else exc.row + 1) from None
 
 
 def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
@@ -213,6 +242,8 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
     if not isinstance(obj["dt"], (int, float)) or isinstance(obj["dt"], bool):
         raise TraceError("field 'dt' must be a number")
     dt = float(obj["dt"])
+    if not math.isfinite(dt):
+        raise TraceError("field 'dt' must be a finite number")
     if dt <= 0:
         raise TraceError("nonpositive dt")
     signals = obj["signals"]
@@ -256,22 +287,26 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
     return Trace(obj["id"], dt, times, channels)
 
 
-def write_trace_csv(trace: Trace) -> str:
-    """Serialize a trace to CSV; reals use shortest round-trip decimals."""
-    names = list(trace.channels)
-    lines = [",".join(["time"] + names)]
-    for i in range(len(trace)):
-        cells = [format_number(float(trace.times[i]))]
-        for name in names:
-            series = trace.channels[name]
-            if series.kind is SignalKind.REAL:
-                cells.append(format_number(float(series.values[i])))
-            elif series.kind is SignalKind.BOOL:
-                cells.append("true" if series.values[i] else "false")
-            else:
-                cells.append(series.variants[int(series.values[i])])
-        lines.append(",".join(cells))
+def _format_cells(series: Series) -> list[str]:
+    values = series.values.tolist()
+    if series.kind is SignalKind.REAL:
+        return list(map(format_number, values))
+    if series.kind is SignalKind.BOOL:
+        return ["true" if v else "false" for v in values]
+    return list(map(series.variants.__getitem__, values))
+
+
+def write_columns_csv(times: np.ndarray, channels: dict[str, Series]) -> str:
+    """CSV text with header `time,<name>...`; reals use shortest round-trip decimals."""
+    columns = [_format_cells(Series(SignalKind.REAL, times))]
+    columns += map(_format_cells, channels.values())
+    lines = [",".join(["time", *channels]), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
+
+
+def write_trace_csv(trace: Trace) -> str:
+    """Serialize a trace to CSV in the form load_trace_csv reads."""
+    return write_columns_csv(trace.times, trace.channels)
 
 
 def write_trace_json(trace: Trace) -> str:

@@ -42,6 +42,7 @@ from stlmon import (
     Trace,
     UNBOUNDED,
     Until,
+    format_number,
 )
 
 # Shared signal palette for random formulas/traces.
@@ -91,6 +92,28 @@ def naive_until(lhs, rhs, lo, hi):
         end = n - 1 if hi is None else min(t + hi, n - 1)
         out.append(max(min(rhs[s], min(lhs[t : s + 1])) for s in range(start, end + 1)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-cell trace CSV writer
+# ---------------------------------------------------------------------------
+
+def percell_csv(trace: Trace) -> str:
+    """Trace CSV written one cell at a time, row by row."""
+    names = list(trace.channels)
+    lines = [",".join(["time"] + names)]
+    for i in range(len(trace)):
+        cells = [format_number(float(trace.times[i]))]
+        for name in names:
+            series = trace.channels[name]
+            if series.kind is SignalKind.REAL:
+                cells.append(format_number(float(series.values[i])))
+            elif series.kind is SignalKind.BOOL:
+                cells.append("true" if series.values[i] else "false")
+            else:
+                cells.append(series.variants[int(series.values[i])])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

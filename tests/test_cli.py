@@ -309,6 +309,29 @@ class TestCheckOutputContract:
             "of samples at dt=0.1\n"
         )
 
+    def test_non_finite_time_is_a_trace_error(self, tmp_path, capsys):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: G[0, 1] (x > 0)\n")
+        trace = tmp_path / "nan.csv"
+        trace.write_text("time,x\n0,1\n1,2\nnan,3\n3,4\n")
+        profiles = tmp_path / "profiles"
+        code = run(["check", str(spec), str(trace), "--profile-out", str(profiles)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {trace}: row 4, column 1: non-finite value 'nan'\n"
+        assert not profiles.exists()
+
+    def test_profile_csv_pins_its_layout(self, tmp_path):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: G[0, 1] (x > 0.5)\n")
+        trace = tmp_path / "p.csv"
+        trace.write_text("time,x\n0,1\n0.5,-0\n1,2.25\n")
+        assert run(["check", str(spec), str(trace), "--profile-out", str(tmp_path)]) == 1
+        assert (tmp_path / "p__r.csv").read_text() == (
+            "time,root,root.child\n0,-0.5,0.5\n0.5,-0.5,-0.5\n1,1.75,1.75\n"
+        )
+
     @pytest.mark.parametrize("command", ["check", "report", "compare"])
     def test_spec_without_rules_exits_two(self, workspace, command, capsys):
         empty = workspace / "empty.stl"

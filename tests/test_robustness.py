@@ -34,7 +34,7 @@ from stlmon import (
     robustness_profile,
     windowed_extremum,
 )
-from stlmon.robustness import _until_series
+from stlmon.robustness import _shifted_window, _until_series
 from reference import (
     deque_windowed,
     naive_bool,
@@ -312,6 +312,32 @@ class TestTruncation:
         trace = trace_of(x=[5, 1, 3])
         profile = robustness_profile(Globally(Interval(0, UNBOUNDED), x_gt(0)), trace)
         assert list(profile.root) == [1.0, 1.0, 3.0]
+
+
+class TestUnboundedWindow:
+    @pytest.mark.parametrize("op", [Globally, Eventually])
+    def test_matches_oracles_for_any_lower_bound(self, op):
+        # lo ranges past the trace end, where every window is the last sample
+        rng = random.Random(38 if op is Globally else 39)
+        for _ in range(150):
+            trace = random_trace(rng, max_len=20)
+            lo = rng.randrange(0, len(trace) + 4)
+            f = op(Interval(float(lo), UNBOUNDED), random_formula(rng, 2))
+            assert robustness(f, trace).rho == naive_rho(f, trace)
+            assert boolean_monitor(f, trace) == naive_bool(f, trace)
+            root = robustness_profile(f, trace).root
+            memo = {}
+            assert root.tolist() == [naive_rho(f, trace, t, memo) for t in range(len(trace))]
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_suffix_sweep_equals_full_width_window(self, mode):
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            n = int(rng.integers(2, 300))
+            child = rng.integers(-3, 4, size=n).astype(np.float64)
+            lo = int(rng.integers(0, n + 3))
+            want = windowed_extremum(child, n - 1, mode)[np.minimum(np.arange(n) + lo, n - 1)]
+            assert np.array_equal(_shifted_window(child, lo, None, mode), want)
 
 
 class TestUnboundedUntil:

@@ -19,6 +19,7 @@ from stlmon import (
     simulate_fleet,
     write_trace_csv,
 )
+from stlmon.cli import run
 from stlmon.sim import format_config
 
 QUIET = PolicyParams(
@@ -228,6 +229,38 @@ class TestConfigFile:
         text = re.sub(r"(?m)^angular_menu = .*$", "angular_menu = -1,0,1", text)
         with pytest.raises(ConfigError, match="^angular_menu must have exactly 5 entries$"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dt", "nan", "dt must be finite and > 0"),
+            ("dt", "inf", "dt must be finite and > 0"),
+            ("dt", "0", "dt must be finite and > 0"),
+            ("linear_speed", "nan", "linear_speed must be finite and > 0"),
+            ("linear_speed", "inf", "linear_speed must be finite and > 0"),
+            ("map_half_extent", "nan", "map_half_extent must be finite and > 0"),
+            ("map_half_extent", "-inf", "map_half_extent must be finite and > 0"),
+            ("max_steps", "2.9", "max_steps must be a whole number: '2.9'"),
+            ("max_steps", "nan", "max_steps must be a whole number: 'nan'"),
+            ("max_steps", "inf", "max_steps must be a whole number: 'inf'"),
+        ],
+    )
+    def test_non_finite_and_fractional_settings_rejected(self, key, value, message):
+        cfg, pre, _ = builtin_presets()
+        text = format_config(cfg, {"pre": pre})
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
+
+    def test_simulate_rejects_nan_dt_with_exit_two(self, tmp_path, capsys):
+        cfg, pre, post = builtin_presets()
+        text = format_config(cfg, {"pre": pre, "post": post})
+        config = tmp_path / "nan.cfg"
+        config.write_text(re.sub(r"(?m)^dt = .*$", "dt = nan", text))
+        code = run(["simulate", "--config", str(config), "--policy", "pre",
+                    "--n", "1", "--out", str(tmp_path / "fleet")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: dt must be finite and > 0\n"
 
     def test_missing_scenario_keys_reported(self):
         with pytest.raises(ConfigError, match="missing scenario keys"):

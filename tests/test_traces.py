@@ -12,7 +12,10 @@ from stlmon import (
     Deriv,
     Div,
     EvalError,
+    Series,
+    SignalKind,
     SignalRef,
+    Trace,
     TraceError,
     eval_expr,
     load_trace_csv,
@@ -20,7 +23,7 @@ from stlmon import (
     parse_spec,
     write_trace_csv,
 )
-from reference import PALETTE_SPEC, expr_at, random_expr, random_trace
+from reference import PALETTE_SPEC, expr_at, percell_csv, random_expr, random_trace
 
 SPEC = parse_spec(
     """
@@ -89,6 +92,50 @@ class TestCsvLoader:
         with pytest.raises(TraceError, match="bad bool value"):
             load_trace_csv("time,done\n0,yes\n1,no\n", SPEC)
 
+    @pytest.mark.parametrize(
+        "times, row", [("0,1,nan,3", 4), ("nan,1,2,3", 2), ("0,1,inf,3", 4), ("0,-inf,2,3", 3)]
+    )
+    def test_non_finite_time_rejected(self, times, row):
+        text = "time,x\n" + "".join(f"{t},{i}\n" for i, t in enumerate(times.split(",")))
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(text, SPEC)
+        cell = times.split(",")[row - 2]
+        assert str(err.value) == f"row {row}, column 1: non-finite value {cell!r}"
+
+    @pytest.mark.parametrize(
+        "text, message, row, column",
+        [
+            ("time,speed\n0,1\n1,abc\n", "bad real value 'abc'", 3, 2),
+            ("time,speed\n0,1\n1,\n", "bad real value ''", 3, 2),
+            ("time,speed\n0,1\n1,inf\n", "non-finite value 'inf'", 3, 2),
+            ("time,speed\n0,1\n1,nan\n", "non-finite value 'nan'", 3, 2),
+            ("time,speed\n0,1\n1,-Infinity\n", "non-finite value '-Infinity'", 3, 2),
+            ("time,speed\n0,1\nx,2\n", "bad time value 'x'", 3, 1),
+            ("time,speed\n0,1\n,2\n", "bad time value ''", 3, 1),
+            ("time,done\n0,yes\n1,no\n", "bad bool value 'yes'", 2, 2),
+            ("time,done\n0,true\n1,True\n", "bad bool value 'True'", 3, 2),
+            ("time,surface\n0,track\n1,grass\n", "undeclared variant 'grass'", 3, 2),
+            ("time,surface\n0,track\n1,Track\n", "undeclared variant 'Track'", 3, 2),
+            ("time,speed\n0,850\n1\n", "malformed row: expected 2 cells, got 1", 3, None),
+            ("time,speed\n0,850\n1,2,3\n", "malformed row: expected 2 cells, got 3", 3, None),
+            # two faults: the first in row-major order wins
+            ("time,speed,x\n0,1,2\n1,2,bad\n2,3\n", "bad real value 'bad'", 3, 3),
+            ("time,speed,x\n0,1,2\n1,2\n2,3,bad\n", "malformed row: expected 3 cells, got 2", 3, None),
+            (
+                "time,speed,x,surface\n0,1,2,grass\n1,oops,3,track\n",
+                "undeclared variant 'grass'",
+                2,
+                4,
+            ),
+            ("time,speed,x\n0,1,2\nbad,2,inf\n", "bad time value 'bad'", 3, 1),
+            ("time,speed,x\n0,1,2\n1,nan,bad\n", "non-finite value 'nan'", 3, 2),
+        ],
+    )
+    def test_first_fault_named_exactly(self, text, message, row, column):
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(text, SPEC)
+        assert (err.value.message, err.value.row, err.value.column) == (message, row, column)
+
 
 class TestJsonLoader:
     def test_basic_load(self):
@@ -105,6 +152,17 @@ class TestJsonLoader:
     def test_nonpositive_dt(self):
         with pytest.raises(TraceError, match="nonpositive dt"):
             load_trace_json('{"id":"t","dt":0,"signals":{"x":[0,1]}}', SPEC)
+
+    @pytest.mark.parametrize("dt", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_dt(self, dt):
+        with pytest.raises(TraceError, match="^field 'dt' must be a finite number$"):
+            load_trace_json('{"id":"t","dt":%s,"signals":{"x":[0,1,2]}}' % dt, SPEC)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_trace_rejects_non_finite_dt(self, dt):
+        x = Series(SignalKind.REAL, np.zeros(3))
+        with pytest.raises(TraceError, match="^non-finite dt$"):
+            Trace("t", dt, np.arange(3.0), {"x": x})
 
     def test_enum_and_bool_values(self):
         data = json.dumps(
@@ -133,12 +191,54 @@ class TestCsvRoundTrip:
         for _ in range(50):
             trace = random_trace(rng, dt=rng.choice((1.0, 0.5)), max_len=20)
             text = write_trace_csv(trace)
+            assert text == percell_csv(trace)
             reloaded = load_trace_csv(text, PALETTE_SPEC, trace_id=trace.id)
             assert write_trace_csv(reloaded) == text
             for name in trace.channels:
                 np.testing.assert_array_equal(
                     reloaded.channels[name].values, trace.channels[name].values
                 )
+
+    def test_every_number_form_matches_percell_writer(self):
+        # one sample per format_number branch: negative zero, a repr that
+        # needs positional expansion, the largest integral value printed
+        # as an int, the first printed through Decimal, and plain integers
+        x = np.array([-0.0, 1e-07, 9999999999999998.0, 1e16, 900.0, -3.0, 0.1])
+        n = len(x)
+        trace = Trace(
+            "t",
+            0.1,
+            np.arange(n) * 0.1,
+            {
+                "x": Series(SignalKind.REAL, x),
+                "b": Series(SignalKind.BOOL, np.array([True, False] * 3 + [True])),
+                "m": Series(
+                    SignalKind.ENUM,
+                    np.array([0, 1, 2, 2, 1, 0, 1], dtype=np.int64),
+                    ("alpha", "beta", "gamma"),
+                ),
+            },
+        )
+        text = write_trace_csv(trace)
+        assert text == percell_csv(trace)
+        assert [line.split(",")[1] for line in text.splitlines()[1:]] == [
+            "0",
+            "0.0000001",
+            "9999999999999998",
+            "10000000000000000",
+            "900",
+            "-3",
+            "0.1",
+        ]
+        assert text.splitlines()[1:3] == ["0,0,true,alpha", "0.1,0.0000001,false,beta"]
+        reloaded = load_trace_csv(text, PALETTE_SPEC)
+        assert reloaded.times.tobytes() == trace.times.tobytes()
+        # the written "0" reads back as +0.0; every other value is bit-identical
+        assert reloaded.channels["x"].values.tobytes() == (x + 0.0).tobytes()
+        for name in ("b", "m"):
+            got, want = reloaded.channels[name].values, trace.channels[name].values
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert write_trace_csv(reloaded) == text
 
 
 class TestEvalExpr:
