@@ -37,9 +37,7 @@ from .formula import (
     Sub,
     UNBOUNDED,
     Until,
-    depth,
     format_number,
-    node_count,
     pretty_print,
     pretty_print_spec,
 )
@@ -57,6 +55,7 @@ from .robustness import (
     RobustnessResult,
     Verdict,
     boolean_monitor,
+    eval_expr,
     evaluate_specification,
     robustness,
     robustness_profile,
@@ -77,11 +76,9 @@ from .sim import (
 )
 from .traces import (
     EvalError,
-    EvaluatedSignal,
     Series,
     Trace,
     TraceError,
-    eval_expr,
     load_trace_csv,
     load_trace_json,
     write_trace_csv,

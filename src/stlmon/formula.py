@@ -86,8 +86,7 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 class SignalExpr:
-    def children(self) -> tuple["SignalExpr", ...]:
-        return ()
+    pass
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,6 @@ class Constant(SignalExpr):
 class Abs(SignalExpr):
     child: SignalExpr
 
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
 class Deriv(SignalExpr):
@@ -119,9 +115,6 @@ class Deriv(SignalExpr):
 class _BinaryExpr(SignalExpr):
     lhs: SignalExpr
     rhs: SignalExpr
-
-    def children(self):
-        return (self.lhs, self.rhs)
 
 
 class Add(_BinaryExpr):
@@ -180,8 +173,7 @@ class BoolIs(Predicate):
 # ---------------------------------------------------------------------------
 
 class Formula:
-    def children(self) -> tuple["Formula", ...]:
-        return ()
+    pass
 
 
 @dataclass(frozen=True)
@@ -193,17 +185,11 @@ class Atom(Formula):
 class Not(Formula):
     child: Formula
 
-    def children(self):
-        return (self.child,)
-
 
 @dataclass(frozen=True)
 class _BinaryFormula(Formula):
     lhs: Formula
     rhs: Formula
-
-    def children(self):
-        return (self.lhs, self.rhs)
 
 
 class And(_BinaryFormula):
@@ -223,9 +209,6 @@ class _TemporalUnary(Formula):
     interval: Interval
     child: Formula
 
-    def children(self):
-        return (self.child,)
-
 
 class Globally(_TemporalUnary):
     op = "G"
@@ -240,18 +223,6 @@ class Until(Formula):
     interval: Interval
     lhs: Formula
     rhs: Formula
-
-    def children(self):
-        return (self.lhs, self.rhs)
-
-
-def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(c) for c in f.children())
-
-
-def depth(f: Formula) -> int:
-    kids = f.children()
-    return 1 + (max(depth(c) for c in kids) if kids else 0)
 
 
 # ---------------------------------------------------------------------------

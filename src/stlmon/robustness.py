@@ -1,4 +1,5 @@
-"""Quantitative robustness and boolean monitoring of formulas over traces.
+"""The evaluator: signal expressions, quantitative robustness and
+boolean monitoring of formulas over traces.
 
 Robustness follows the usual min/max quantitative semantics: comparison
 atoms score their signed margin, enum/bool atoms score +-1, negation
@@ -6,8 +7,9 @@ flips sign, `and`/`or` take min/max, and the temporal operators take the
 window extremum of their child series.
 
 Truncation: windows are clipped to the end of the trace, and a window
-that starts past the end degenerates to the final sample. This keeps
-every robustness value finite on finite episodes.
+that starts past the end degenerates to the final sample. Every operand
+and every comparison margin must be finite, or evaluation fails with
+`non-finite result at sample k`; so every robustness value is finite.
 
 G/F and `U` are computed in O(n) total per node: bounded G/F via
 `windowed_extremum`, unbounded G/F by one suffix sweep, and `U` by a
@@ -17,9 +19,10 @@ immutable, so many evaluations may run concurrently.
 
 Signals are resolved against the trace in one place, `traces.channel`,
 as evaluation reaches each atom; no operator short-circuits, so every
-atom is reached. The quantitative, boolean and profile read-outs share
-one walk (`_root`), and every evaluation error it raises names its rule,
-reporting the first fault in evaluation order.
+atom is reached. `_root` fills one table with every node's series; the
+quantitative, boolean and profile read-outs all read that table. Every
+evaluation error it raises names its rule, reporting the first fault in
+evaluation order.
 """
 
 from __future__ import annotations
@@ -31,24 +34,33 @@ from enum import Enum
 import numpy as np
 
 from .formula import (
+    Abs,
+    Add,
     And,
     Atom,
     BoolIs,
     CmpOp,
     Compare,
+    Constant,
+    Deriv,
     EnumEq,
     Formula,
     Globally,
     Interval,
+    Mul,
     Not,
     Or,
     Predicate,
+    SignalExpr,
+    SignalRef,
     Specification,
+    Sub,
     Until,
+    _BinaryExpr,
     _BinaryFormula,
     _TemporalUnary,
 )
-from .traces import EvalError, SignalKind, Trace, channel, eval_expr
+from .traces import EvalError, SignalKind, Trace, channel
 
 # An interval bound must land on a sample index to within this tolerance
 # (in index units); anything else is rejected rather than silently rounded.
@@ -201,15 +213,61 @@ def _until_series(lhs: np.ndarray, rhs: np.ndarray, lo: int, hi: int | None) -> 
     return out
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values)))
+        raise EvalError(f"non-finite result at sample {bad}")
+    return values
+
+
+def _eval(expr: SignalExpr, trace: Trace) -> np.ndarray:
+    n = len(trace)
+    if isinstance(expr, SignalRef):
+        return channel(trace, expr.name, SignalKind.REAL).values.astype(np.float64, copy=True)
+    if isinstance(expr, Constant):
+        return np.full(n, float(expr.value))
+    if isinstance(expr, Abs):
+        return np.abs(_eval(expr.child, trace))
+    if isinstance(expr, Deriv):
+        v = channel(trace, expr.name, SignalKind.REAL).values
+        out = np.zeros(n)
+        out[1:] = (v[1:] - v[:-1]) / trace.dt
+        return out
+    if isinstance(expr, _BinaryExpr):
+        lhs = _eval(expr.lhs, trace)
+        rhs = _eval(expr.rhs, trace)
+        if isinstance(expr, Add):
+            return lhs + rhs
+        if isinstance(expr, Sub):
+            return lhs - rhs
+        if isinstance(expr, Mul):
+            return lhs * rhs
+        zeros = np.nonzero(rhs == 0.0)[0]
+        if zeros.size:
+            raise EvalError(f"division by zero at sample {int(zeros[0])}")
+        return lhs / rhs
+    raise EvalError(f"unknown expression node {type(expr).__name__}")
+
+
+def eval_expr(expr: SignalExpr, trace: Trace) -> np.ndarray:
+    """Evaluate a real-valued signal expression to one finite value per sample.
+
+    Deriv(s)[i] = (s[i] - s[i-1]) / dt for i >= 1, and 0 at i = 0
+    (backward difference, causal and defined at every sample). A result
+    that overflows raises `non-finite result at sample k`.
+    """
+    return _finite(_eval(expr, trace))
+
+
 def _atom_series(pred: Predicate, trace: Trace, boolean: bool) -> np.ndarray:
     if isinstance(pred, Compare):
-        lhs = eval_expr(pred.lhs, trace).values
-        rhs = eval_expr(pred.rhs, trace).values
-        margin = rhs - lhs if pred.op in (CmpOp.LT, CmpOp.LE) else lhs - rhs
+        lhs = eval_expr(pred.lhs, trace)
+        rhs = eval_expr(pred.rhs, trace)
+        margin = _finite(rhs - lhs if pred.op in (CmpOp.LT, CmpOp.LE) else lhs - rhs)
         if not boolean:
             return margin
         # Exact: a difference of finite floats is zero only for equal
-        # operands (gradual underflow) and keeps its sign on overflow.
+        # operands (gradual underflow).
         hold = margin > 0 if pred.op in (CmpOp.LT, CmpOp.GT) else margin >= 0
     elif isinstance(pred, EnumEq):
         series = channel(trace, pred.signal, SignalKind.ENUM)
@@ -227,19 +285,15 @@ def _atom_series(pred: Predicate, trace: Trace, boolean: bool) -> np.ndarray:
 
 
 def _series(
-    f: Formula,
-    trace: Trace,
-    boolean: bool,
-    profile: dict[str, np.ndarray] | None,
-    path: str,
+    f: Formula, trace: Trace, boolean: bool, table: dict[str, np.ndarray], path: str
 ) -> np.ndarray:
     if isinstance(f, Atom):
         out = _atom_series(f.predicate, trace, boolean)
     elif isinstance(f, Not):
-        out = -_series(f.child, trace, boolean, profile, path + ".child")
+        out = -_series(f.child, trace, boolean, table, path + ".child")
     elif isinstance(f, _BinaryFormula):
-        lhs = _series(f.lhs, trace, boolean, profile, path + ".lhs")
-        rhs = _series(f.rhs, trace, boolean, profile, path + ".rhs")
+        lhs = _series(f.lhs, trace, boolean, table, path + ".lhs")
+        rhs = _series(f.rhs, trace, boolean, table, path + ".rhs")
         if isinstance(f, And):
             out = np.minimum(lhs, rhs)
         elif isinstance(f, Or):
@@ -247,49 +301,48 @@ def _series(
         else:
             out = np.maximum(-lhs, rhs)
     elif isinstance(f, _TemporalUnary):
-        child = _series(f.child, trace, boolean, profile, path + ".child")
+        child = _series(f.child, trace, boolean, table, path + ".child")
         lo, hi = _offsets(f.interval, trace.dt)
         mode = "min" if isinstance(f, Globally) else "max"
         out = _shifted_window(child, lo, hi, mode)
     elif isinstance(f, Until):
-        lhs = _series(f.lhs, trace, boolean, profile, path + ".lhs")
-        rhs = _series(f.rhs, trace, boolean, profile, path + ".rhs")
+        lhs = _series(f.lhs, trace, boolean, table, path + ".lhs")
+        rhs = _series(f.rhs, trace, boolean, table, path + ".rhs")
         lo, hi = _offsets(f.interval, trace.dt)
         out = _until_series(lhs, rhs, lo, hi)
     else:
         raise EvalError(f"unknown formula node {type(f).__name__}")
-    if profile is not None:
-        profile[path] = out
+    table[path] = out
     return out
 
 
-def _root(
-    f: Formula,
-    trace: Trace,
-    rule_name: str,
-    boolean: bool = False,
-    profile: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
-    """The root series of `f`; any evaluation error is re-raised naming the rule."""
+def _root(f: Formula, trace: Trace, rule_name: str, boolean: bool = False) -> dict[str, np.ndarray]:
+    """Every node's series of `f`, keyed by path ("root" is the formula itself).
+
+    Overflow is caught by the finiteness checks, so numpy's own warnings
+    are off; any evaluation error is re-raised naming the rule.
+    """
+    table: dict[str, np.ndarray] = {}
     try:
-        return _series(f, trace, boolean, profile, "root")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _series(f, trace, boolean, table, "root")
     except EvalError as exc:
         raise EvalError(f"rule '{rule_name}': {exc}") from None
+    return table
 
 
 def robustness(f: Formula, trace: Trace, rule_name: str = "rule") -> RobustnessResult:
     """Robustness of the formula at t=0, with the sign-based verdict."""
-    rho = float(_root(f, trace, rule_name)[0]) + 0.0  # publish -0.0 as 0.0
+    rho = float(_root(f, trace, rule_name)["root"][0]) + 0.0  # publish -0.0 as 0.0
     return RobustnessResult(rule_name, rho, Verdict.from_rho(rho))
 
 
 def robustness_profile(f: Formula, trace: Trace, rule_name: str = "rule") -> RobustnessProfile:
     """Like `robustness` but retains every node's full robustness series."""
-    profile: dict[str, np.ndarray] = {}
-    _root(f, trace, rule_name, profile=profile)
-    for arr in profile.values():
+    table = _root(f, trace, rule_name)
+    for arr in table.values():
         arr.flags.writeable = False
-    return RobustnessProfile(profile)
+    return RobustnessProfile(table)
 
 
 def boolean_monitor(f: Formula, trace: Trace, rule_name: str = "rule") -> bool:
@@ -298,7 +351,7 @@ def boolean_monitor(f: Formula, trace: Trace, rule_name: str = "rule") -> bool:
     Atoms test the sign of their margin, strictly for `<`/`>`, so strict
     vs non-strict bounds are respected even where the margin is zero.
     """
-    return bool(_root(f, trace, rule_name, boolean=True)[0] > 0)
+    return bool(_root(f, trace, rule_name, boolean=True)["root"][0] > 0)
 
 
 def evaluate_specification(spec: Specification, trace: Trace) -> list[RobustnessResult]:

@@ -131,6 +131,9 @@ class PolicyParams:
     turn_smoothing: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if not 0 <= self.turn_smoothing <= 1:

@@ -1,6 +1,6 @@
-"""Rollout traces: loading, validation, serialization, resolution of
-signal names to channels (`channel`), and evaluation of signal
-expressions into sample-aligned real series.
+"""Rollout traces: loading, validation, serialization, and resolution of
+signal names to channels (`channel`). Evaluating expressions and
+formulas over a trace is `robustness.py`'s job.
 
 A trace is a uniformly sampled record of named channels over one episode.
 Loaders validate shape and typing eagerly so the engine can assume clean
@@ -24,20 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .formula import (
-    Abs,
-    Add,
-    Constant,
-    Deriv,
-    Mul,
-    SignalExpr,
-    SignalKind,
-    SignalRef,
-    Specification,
-    Sub,
-    _BinaryExpr,
-    format_number,
-)
+from .formula import SignalKind, Specification, format_number
 
 # Successive sample gaps may deviate from dt by at most this relative amount.
 UNIFORMITY_TOL = 1e-6
@@ -101,16 +88,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluatedSignal:
-    """A signal expression evaluated to one finite real per sample."""
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 _BOOL_CELLS = {"true": True, "1": True, "false": False, "0": False}
@@ -230,7 +207,7 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
     """Load a trace from the JSON format {id, dt, signals: {name: [...]}}."""
     try:
         obj = json.loads(_decode(data))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise TraceError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise TraceError("top-level JSON value must be an object")
@@ -241,7 +218,10 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
         raise TraceError("field 'id' must be a string")
     if not isinstance(obj["dt"], (int, float)) or isinstance(obj["dt"], bool):
         raise TraceError("field 'dt' must be a number")
-    dt = float(obj["dt"])
+    try:
+        dt = float(obj["dt"])
+    except OverflowError:  # an integer beyond the double range
+        dt = math.inf
     if not math.isfinite(dt):
         raise TraceError("field 'dt' must be a finite number")
     if dt <= 0:
@@ -263,22 +243,25 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
         elif len(values) != n:
             raise TraceError("ragged signals")
         parsed = []
-        for i, v in enumerate(values):
-            if decl.kind is SignalKind.REAL:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                    raise TraceError(f"bad real value {v!r} in '{name}'", row=i + 1)
-                parsed.append(float(v))
-            elif decl.kind is SignalKind.BOOL:
-                if isinstance(v, bool):
-                    parsed.append(v)
-                elif v in (0, 1):
-                    parsed.append(bool(v))
+        try:
+            for i, v in enumerate(values):
+                if decl.kind is SignalKind.REAL:
+                    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                        raise TraceError(f"bad real value {v!r} in '{name}'", row=i + 1)
+                    parsed.append(float(v))
+                elif decl.kind is SignalKind.BOOL:
+                    if isinstance(v, bool):
+                        parsed.append(v)
+                    elif v in (0, 1):
+                        parsed.append(bool(v))
+                    else:
+                        raise TraceError(f"bad bool value {v!r} in '{name}'", row=i + 1)
                 else:
-                    raise TraceError(f"bad bool value {v!r} in '{name}'", row=i + 1)
-            else:
-                if not isinstance(v, str) or v not in decl.enum_variants:
-                    raise TraceError(f"undeclared variant {v!r} in '{name}'", row=i + 1)
-                parsed.append(decl.enum_variants.index(v))
+                    if not isinstance(v, str) or v not in decl.enum_variants:
+                        raise TraceError(f"undeclared variant {v!r} in '{name}'", row=i + 1)
+                    parsed.append(decl.enum_variants.index(v))
+        except OverflowError:  # math.isfinite on an integer beyond the double range
+            raise TraceError(f"bad real value {v!r} in '{name}'", row=i + 1) from None
         channels[name] = _make_series(decl, parsed)
 
     if n is None or n < 2:
@@ -322,19 +305,6 @@ def write_trace_json(trace: Trace) -> str:
     return json.dumps({"id": trace.id, "dt": trace.dt, "signals": signals}) + "\n"
 
 
-def eval_expr(expr: SignalExpr, trace: Trace) -> EvaluatedSignal:
-    """Evaluate a real-valued signal expression over every trace sample.
-
-    Deriv(s)[i] = (s[i] - s[i-1]) / dt for i >= 1, and 0 at i = 0
-    (backward difference, causal and defined at every sample).
-    """
-    values = _eval(expr, trace)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
-        raise EvalError(f"non-finite result at sample {bad}")
-    return EvaluatedSignal(values)
-
-
 def channel(trace: Trace, name: str, kind: SignalKind) -> Series:
     """The trace's channel `name`, which must hold `kind` values."""
     series = trace.channels.get(name)
@@ -343,32 +313,3 @@ def channel(trace: Trace, name: str, kind: SignalKind) -> Series:
     if series.kind is not kind:
         raise EvalError(f"signal '{name}' is {series.kind.value}-valued, not {kind.value}-valued")
     return series
-
-
-def _eval(expr: SignalExpr, trace: Trace) -> np.ndarray:
-    n = len(trace)
-    if isinstance(expr, SignalRef):
-        return channel(trace, expr.name, SignalKind.REAL).values.astype(np.float64, copy=True)
-    if isinstance(expr, Constant):
-        return np.full(n, float(expr.value))
-    if isinstance(expr, Abs):
-        return np.abs(_eval(expr.child, trace))
-    if isinstance(expr, Deriv):
-        v = channel(trace, expr.name, SignalKind.REAL).values
-        out = np.zeros(n)
-        out[1:] = (v[1:] - v[:-1]) / trace.dt
-        return out
-    if isinstance(expr, _BinaryExpr):
-        lhs = _eval(expr.lhs, trace)
-        rhs = _eval(expr.rhs, trace)
-        if isinstance(expr, Add):
-            return lhs + rhs
-        if isinstance(expr, Sub):
-            return lhs - rhs
-        if isinstance(expr, Mul):
-            return lhs * rhs
-        zeros = np.nonzero(rhs == 0.0)[0]
-        if zeros.size:
-            raise EvalError(f"division by zero at sample {int(zeros[0])}")
-        return lhs / rhs
-    raise EvalError(f"unknown expression node {type(expr).__name__}")

@@ -1,15 +1,20 @@
 """End-to-end CLI fixtures: exit codes, report schema, output stability."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stlmon
+import stlmon.cli
 from stlmon.cli import builtin_spec_path, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SPEC_SRC = """\
 signal speed : real
@@ -261,6 +266,52 @@ class TestBuiltinSpecs:
         code = run(["check", "builtin:nope", str(workspace / "ok.csv")])
         assert code == 2
 
+    def test_docs_rule_file_matches_bundled_specs(self):
+        from stlmon import parse_spec
+
+        docs = parse_spec((ROOT / "docs" / "rules.stl").read_text(encoding="utf-8"))
+        bundled = {}
+        for name in ("mario", "turtlebot"):
+            spec = parse_spec(builtin_spec_path(name).read_text(encoding="utf-8"))
+            bundled.update((rule.name, rule) for rule in spec.rules)
+        assert sorted(rule.name for rule in docs.rules) == sorted(bundled)
+        for rule in docs.rules:
+            assert rule == bundled[rule.name]
+
+
+class TestLayerHooks:
+    """`bench/traced.py` times each layer by replacing these module attributes,
+    so evaluation must keep calling through them."""
+
+    def test_check_calls_through_module_attributes(self, tmp_path, monkeypatch):
+        # the package's `robustness` function shadows the module's name
+        evaluator = importlib.import_module("stlmon.robustness")
+        calls = Counter()
+
+        def count_calls(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count_calls(evaluator, "eval_expr")
+        count_calls(stlmon.cli, "evaluate_specification")
+        spec = tmp_path / "r.stl"
+        spec.write_text(
+            "signal speed : real\nsignal done : bool\n"
+            "rule a: G[0, inf] ((speed < 900) && (abs(deriv(speed)) <= 100))\n"
+            "rule b: (F[0, 1] (done)) || (speed > 0)\n"
+        )
+        traces = [tmp_path / "t0.csv", tmp_path / "t1.csv"]
+        for path in traces:
+            path.write_text("time,speed,done\n0,850,false\n1,870,true\n")
+        assert run(["check", str(spec), *map(str, traces)]) == 0
+        # three Compare atoms per trace, each evaluating its two operands
+        assert calls == {"evaluate_specification": 2, "eval_expr": 2 * 3 * 2}
+
 
 class TestEntryPoints:
     @pytest.mark.parametrize("trace", ["ok.csv", "bad.csv"])
@@ -308,6 +359,16 @@ class TestCheckOutputContract:
             "error: trace 'j': rule 'al': interval bound 0.25 is not a whole number "
             "of samples at dt=0.1\n"
         )
+
+    def test_overflowing_margin_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nsignal y : real\nrule r: x > y\n")
+        trace = tmp_path / "o.csv"
+        trace.write_text("time,x,y\n0,1e308,-1e308\n1,1,1\n")
+        assert run(["check", str(spec), str(trace), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'o': rule 'r': non-finite result at sample 0\n"
 
     def test_non_finite_time_is_a_trace_error(self, tmp_path, capsys):
         spec = tmp_path / "r.stl"

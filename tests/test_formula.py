@@ -1,7 +1,6 @@
 """Spec-time validation, canonical printing, and structural invariants."""
 
 import math
-import random
 import re
 
 import pytest
@@ -25,14 +24,11 @@ from stlmon import (
     SignalRef,
     Specification,
     UNBOUNDED,
-    depth,
     format_number,
-    node_count,
     parse_spec,
     pretty_print,
     pretty_print_spec,
 )
-from reference import random_formula
 
 SPEED = SignalDecl("speed", SignalKind.REAL)
 SURFACE = SignalDecl("surface", SignalKind.ENUM, ("track", "offroad"))
@@ -160,18 +156,6 @@ class TestPrettyPrint:
 
 
 class TestNodeCounts:
-    def test_node_count_is_one_plus_children(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            f = random_formula(rng, max_depth=4)
-            assert node_count(f) == 1 + sum(node_count(c) for c in f.children())
-
-    def test_depth_bound_respected(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            f = random_formula(rng, max_depth=4)
-            assert depth(f) <= 5  # depth counts nodes, so max_depth+1 levels
-
     def test_structural_equality(self):
         a = Globally(Interval(0.0, UNBOUNDED), speed_lt(900))
         b = Globally(Interval(0.0, UNBOUNDED), speed_lt(900))

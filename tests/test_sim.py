@@ -243,12 +243,18 @@ class TestConfigFile:
             ("max_steps", "2.9", "max_steps must be a whole number: '2.9'"),
             ("max_steps", "nan", "max_steps must be a whole number: 'nan'"),
             ("max_steps", "inf", "max_steps must be a whole number: 'inf'"),
+            ("pre.turn_gain", "nan", "policy 'pre': turn_gain must be finite"),
+            ("pre.turn_gain", "inf", "policy 'pre': turn_gain must be finite"),
+            ("pre.noise_std", "nan", "policy 'pre': noise_std must be finite"),
+            ("pre.repulsion_gain", "-inf", "policy 'pre': repulsion_gain must be finite"),
+            ("pre.repulsion_range", "nan", "policy 'pre': repulsion_range must be finite"),
+            ("pre.turn_smoothing", "nan", "policy 'pre': turn_smoothing must be finite"),
         ],
     )
     def test_non_finite_and_fractional_settings_rejected(self, key, value, message):
         cfg, pre, _ = builtin_presets()
         text = format_config(cfg, {"pre": pre})
-        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config_text(text)
 
@@ -261,6 +267,18 @@ class TestConfigFile:
                     "--n", "1", "--out", str(tmp_path / "fleet")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {config}: dt must be finite and > 0\n"
+
+    def test_simulate_rejects_nan_gain_with_exit_two(self, tmp_path, capsys):
+        cfg, pre, post = builtin_presets()
+        text = format_config(cfg, {"pre": pre, "post": post})
+        config = tmp_path / "nan.cfg"
+        config.write_text(re.sub(r"(?m)^pre\.turn_gain = .*$", "pre.turn_gain = nan", text))
+        code = run(["simulate", "--config", str(config), "--policy", "pre",
+                    "--n", "1", "--out", str(tmp_path / "fleet")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: policy 'pre': turn_gain must be finite\n"
+        )
 
     def test_missing_scenario_keys_reported(self):
         with pytest.raises(ConfigError, match="missing scenario keys"):

@@ -23,6 +23,7 @@ from stlmon import (
     parse_spec,
     write_trace_csv,
 )
+from stlmon.cli import run
 from reference import PALETTE_SPEC, expr_at, percell_csv, random_expr, random_trace
 
 SPEC = parse_spec(
@@ -35,6 +36,8 @@ signal x : real
 signal y : real
 """
 )
+
+HUGE = "9" * 400  # a JSON integer too large for a double
 
 
 class TestCsvLoader:
@@ -153,7 +156,9 @@ class TestJsonLoader:
         with pytest.raises(TraceError, match="nonpositive dt"):
             load_trace_json('{"id":"t","dt":0,"signals":{"x":[0,1]}}', SPEC)
 
-    @pytest.mark.parametrize("dt", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "dt", ["NaN", "Infinity", "-Infinity", pytest.param(HUGE, id="huge_integer")]
+    )
     def test_non_finite_dt(self, dt):
         with pytest.raises(TraceError, match="^field 'dt' must be a finite number$"):
             load_trace_json('{"id":"t","dt":%s,"signals":{"x":[0,1,2]}}' % dt, SPEC)
@@ -183,6 +188,27 @@ class TestJsonLoader:
     def test_invalid_json(self):
         with pytest.raises(TraceError, match="invalid JSON"):
             load_trace_json("{nope", SPEC)
+
+    def test_huge_integer_value_is_a_bad_real(self):
+        data = '{"id":"t","dt":1,"signals":{"x":[0,%s,2]}}' % HUGE
+        with pytest.raises(TraceError) as err:
+            load_trace_json(data, SPEC)
+        assert str(err.value) == f"row 2: bad real value {int(HUGE)!r} in 'x'"
+
+    def test_integer_past_digit_limit_is_invalid_json(self):
+        data = '{"id":"t","dt":1,"signals":{"x":[0,%s,2]}}' % ("9" * 5000)
+        with pytest.raises(TraceError, match="^invalid JSON: Exceeds the limit"):
+            load_trace_json(data, SPEC)
+
+    def test_check_exits_two_on_huge_integer(self, tmp_path, capsys):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: x > 0\n")
+        trace = tmp_path / "huge.json"
+        trace.write_text('{"id":"t","dt":1,"signals":{"x":[1,%s]}}' % HUGE)
+        assert run(["check", str(spec), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {trace}: row 2: bad real value {int(HUGE)!r} in 'x'\n"
 
 
 class TestCsvRoundTrip:
@@ -244,13 +270,13 @@ class TestCsvRoundTrip:
 class TestEvalExpr:
     def test_deriv_backward_difference(self):
         trace = load_trace_json('{"id":"t","dt":0.5,"signals":{"phi":[0,0.1,0.3]}}', SPEC)
-        values = eval_expr(Deriv("phi"), trace).values
+        values = eval_expr(Deriv("phi"), trace)
         np.testing.assert_allclose(values, [0.0, 0.2, 0.4], rtol=0, atol=1e-15)
         assert values[0] == 0.0
 
     def test_abs_constant(self):
         trace = load_trace_csv("time,speed\n0,1\n1,2\n", SPEC)
-        assert list(eval_expr(Abs(Constant(-3)), trace).values) == [3.0, 3.0]
+        assert list(eval_expr(Abs(Constant(-3)), trace)) == [3.0, 3.0]
 
     def test_division_by_zero_names_sample(self):
         trace = load_trace_json('{"id":"t","dt":1,"signals":{"x":[1,2,3],"y":[1,0,2]}}', SPEC)
@@ -261,7 +287,7 @@ class TestEvalExpr:
         rng = random.Random(4)
         for _ in range(10):
             trace = random_trace(rng, max_len=30)
-            values = eval_expr(Constant(2.5), trace).values
+            values = eval_expr(Constant(2.5), trace)
             assert len(values) == len(trace)
             assert set(values) == {2.5}
 
@@ -270,7 +296,7 @@ class TestEvalExpr:
         for _ in range(200):
             trace = random_trace(rng, dt=rng.choice((1.0, 0.5, 0.25)), max_len=20)
             expr = random_expr(rng, max_depth=3)
-            values = eval_expr(expr, trace).values
+            values = eval_expr(expr, trace)
             for i in range(len(trace)):
                 assert values[i] == expr_at(expr, trace, i)
 
@@ -278,7 +304,7 @@ class TestEvalExpr:
         # perturbing sample j only changes Deriv outputs at j and j+1
         rng = random.Random(6)
         trace = random_trace(rng, max_len=20, min_len=10)
-        base = eval_expr(Deriv("x"), trace).values
+        base = eval_expr(Deriv("x"), trace)
         j = 4
         values = trace.channels["x"].values.copy()
         values[j] += 1.0
@@ -290,7 +316,7 @@ class TestEvalExpr:
             trace.times.copy(),
             {**trace.channels, "x": stlmon.Series(trace.channels["x"].kind, values)},
         )
-        changed = eval_expr(Deriv("x"), bumped).values
+        changed = eval_expr(Deriv("x"), bumped)
         diff = np.nonzero(changed != base)[0]
         assert set(diff) <= {j, j + 1}
 
