@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -71,40 +72,41 @@ def _load_spec(spec_arg: str) -> Specification:
     return spec
 
 
-def _load_trace(path: Path, spec: Specification) -> Trace:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CliError(f"cannot read trace {path}: {exc}") from None
-    try:
-        if path.suffix == ".json":
-            return load_trace_json(data, spec)
-        return load_trace_csv(data, spec, trace_id=path.stem)
-    except TraceError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_trace_dir(directory: str, spec: Specification) -> list[tuple[str, Trace]]:
+def _trace_paths(directory: str) -> list[Path]:
     root = Path(directory)
     if not root.is_dir():
         raise CliError(f"not a directory: {directory}")
     paths = sorted(p for p in root.iterdir() if p.suffix in (".csv", ".json"))
     if not paths:
         raise CliError(f"no .csv or .json traces in {directory}")
-    return [(p.name, _load_trace(p, spec)) for p in paths]
+    return paths
 
 
-def _evaluate(spec: Specification, trace: Trace) -> list[RobustnessResult]:
-    try:
-        return evaluate_specification(spec, trace)
-    except Exception as exc:
-        raise CliError(f"trace '{trace.id}': {exc}") from None
+def _evaluated(spec: Specification, paths) -> Iterator[tuple[Trace, list[RobustnessResult]]]:
+    """Read, decode and evaluate one trace file at a time, in path order."""
+    for path in map(Path, paths):
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise CliError(f"cannot read trace {path}: {exc}") from None
+        try:
+            if path.suffix == ".json":
+                trace = load_trace_json(data, spec)
+            else:
+                trace = load_trace_csv(data, spec, trace_id=path.stem)
+        except TraceError as exc:
+            raise CliError(f"{path}: {exc}") from None
+        try:
+            results = evaluate_specification(spec, trace)
+        except Exception as exc:
+            raise CliError(f"trace '{trace.id}': {exc}") from None
+        yield trace, results
 
 
-def _fleet_reports(spec: Specification, traces: list[tuple[str, Trace]]) -> list[FleetReport]:
+def _fleet_reports(spec: Specification, paths: list[Path]) -> list[FleetReport]:
     per_rule: dict[str, list] = {rule.name: [] for rule in spec.rules}
-    for _, trace in traces:
-        for result in _evaluate(spec, trace):
+    for _, results in _evaluated(spec, paths):
+        for result in results:
             per_rule[result.rule_name].append(result)
     return [fleet_report(name, results) for name, results in per_rule.items()]
 
@@ -134,10 +136,8 @@ def _display_pct(value: float) -> str:
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
     rows = []
-    for trace_arg in args.traces:
-        trace = _load_trace(Path(trace_arg), spec)
-        for result in _evaluate(spec, trace):
-            rows.append((trace.id, result))
+    for trace, results in _evaluated(spec, args.traces):
+        rows.extend((trace.id, result) for result in results)
         if args.profile_out:
             _write_profiles(args.profile_out, spec, trace)
 
@@ -165,6 +165,8 @@ def _cmd_check(args) -> int:
 
 
 def _write_profiles(out_dir: str, spec: Specification, trace: Trace) -> None:
+    if any(c in trace.id for c in "/\\\0"):
+        raise CliError(f"trace '{trace.id}': id must be a plain file name for --profile-out")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     for rule in spec.rules:
@@ -205,8 +207,7 @@ def _report_table(reports: list[FleetReport]) -> str:
 
 def _cmd_report(args) -> int:
     spec = _load_spec(args.spec)
-    traces = _load_trace_dir(args.trace_dir, spec)
-    reports = _fleet_reports(spec, traces)
+    reports = _fleet_reports(spec, _trace_paths(args.trace_dir))
     if args.format == "json":
         _emit(_json_dump(_report_payload(reports)), args.out)
     else:
@@ -264,11 +265,10 @@ def _cmd_compare(args) -> int:
     if not 0 < args.alpha < 1:
         raise CliError("alpha must be in (0, 1)")
     spec = _load_spec(args.spec)
-    pre_reports = _fleet_reports(spec, _load_trace_dir(args.dir_pre, spec))
-    post_reports = _fleet_reports(spec, _load_trace_dir(args.dir_post, spec))
-    rows = []
-    for pre, post in zip(pre_reports, post_reports):
-        rows.append((pre, post, compare_fleets(pre.rule_name, pre, post, args.alpha)))
+    pre_paths, post_paths = _trace_paths(args.dir_pre), _trace_paths(args.dir_post)
+    pre_reports, post_reports = _fleet_reports(spec, pre_paths), _fleet_reports(spec, post_paths)
+    rows = [(pre, post, compare_fleets(pre.rule_name, pre, post, args.alpha))
+            for pre, post in zip(pre_reports, post_reports)]
     if args.format == "json":
         payload = {cmp.rule_name: _compare_payload(pre, post, cmp) for pre, post, cmp in rows}
         _emit(_json_dump(payload), args.out)

@@ -97,31 +97,21 @@ def _ranks(pooled: list[float]) -> list[float]:
 
 
 def _exact_u_tail(n_a: int, n_b: int, u_big: int) -> float:
-    """P(U >= u_big) under the exact null, by DP over rank assignments.
+    """P(U >= u_big) under the exact null.
 
-    count[u] tracks in how many ways a subset of the ranks seen so far,
-    of each possible size, yields statistic u; only the final size-n_a
-    layer is read out.
+    The counts of U over the C(n_a+n_b, n_a) equally likely rank sets are
+    the coefficients of the Gaussian binomial [n_a+n_b choose n_a]_q, the
+    product over i = 1..n_a of (1 - q^(n_b+i)) / (1 - q^i). It is built
+    one factor at a time in exact integers; each division is exact.
     """
-    # ways[k][u]: subsets of size k of the first m ranks with U = u
     max_u = n_a * n_b
-    ways = [[0] * (max_u + 1) for _ in range(n_a + 1)]
-    ways[0][0] = 1
-    for m in range(1, n_a + n_b + 1):
-        # adding rank m to a subset of size k-1 raises U by the number of
-        # smaller ranks not in the subset: (m - 1) - (k - 1)
-        for k in range(min(m, n_a), 0, -1):
-            gain = m - k
-            if gain > max_u:
-                continue
-            row = ways[k]
-            prev = ways[k - 1]
-            for u in range(max_u, gain - 1, -1):
-                if prev[u - gain]:
-                    row[u] += prev[u - gain]
-    total = math.comb(n_a + n_b, n_a)
-    tail = sum(ways[n_a][u] for u in range(u_big, max_u + 1))
-    return tail / total
+    counts = [1] + [0] * max_u
+    for i in range(1, n_a + 1):
+        for u in range(max_u, n_b + i - 1, -1):  # times (1 - q^(n_b+i))
+            counts[u] -= counts[u - n_b - i]
+        for u in range(i, max_u + 1):  # divided by (1 - q^i)
+            counts[u] += counts[u - i]
+    return sum(counts[u_big:]) / math.comb(n_a + n_b, n_a)
 
 
 def _normal_sf(z: float) -> float:

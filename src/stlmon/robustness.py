@@ -136,19 +136,24 @@ def windowed_extremum(series, width: int, mode: str) -> np.ndarray:
     return op(suffix[:n], prefix[np.arange(w, n + w)])
 
 
-def _bound_to_index(bound: float, dt: float) -> int:
+def _bound_to_index(bound: float, dt: float) -> float:
     exact = bound / dt
+    if math.isinf(exact):  # past the end of any trace
+        return exact
     index = round(exact)
     if abs(index - exact) > INDEX_TOL:
         raise EvalError(
             f"interval bound {bound} is not a whole number of samples at dt={dt}"
         )
-    return int(index)
+    return index
 
 
-def _offsets(interval: Interval, dt: float) -> tuple[int, int | None]:
-    lo = _bound_to_index(interval.lo, dt)
-    hi = None if interval.unbounded else _bound_to_index(interval.hi, dt)
+def _offsets(interval: Interval, trace: Trace) -> tuple[int, int | None]:
+    """Sample offsets of the bounds, clamped to the trace length: under
+    truncation every offset past the end reads the final sample."""
+    n = len(trace)
+    lo = min(_bound_to_index(interval.lo, trace.dt), n)
+    hi = None if interval.unbounded else min(_bound_to_index(interval.hi, trace.dt), n)
     return lo, hi
 
 
@@ -302,13 +307,13 @@ def _series(
             out = np.maximum(-lhs, rhs)
     elif isinstance(f, _TemporalUnary):
         child = _series(f.child, trace, boolean, table, path + ".child")
-        lo, hi = _offsets(f.interval, trace.dt)
+        lo, hi = _offsets(f.interval, trace)
         mode = "min" if isinstance(f, Globally) else "max"
         out = _shifted_window(child, lo, hi, mode)
     elif isinstance(f, Until):
         lhs = _series(f.lhs, trace, boolean, table, path + ".lhs")
         rhs = _series(f.rhs, trace, boolean, table, path + ".rhs")
-        lo, hi = _offsets(f.interval, trace.dt)
+        lo, hi = _offsets(f.interval, trace)
         out = _until_series(lhs, rhs, lo, hi)
     else:
         raise EvalError(f"unknown formula node {type(f).__name__}")

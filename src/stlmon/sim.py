@@ -109,17 +109,21 @@ class ScenarioConfig:
             raise ConfigError("linear_speed must be finite and > 0")
         if len(self.angular_menu) != 5:
             raise ConfigError("angular_menu must have exactly 5 entries")
+        if not all(map(math.isfinite, self.angular_menu)):
+            raise ConfigError("angular_menu entries must be finite")
         ordered = sorted(self.angular_menu)
         if any(ordered[i] != -ordered[4 - i] for i in range(5)):
             raise ConfigError("angular_menu must be symmetric about 0")
         for i, ob in enumerate(self.obstacles):
+            if not all(map(math.isfinite, (ob.x, ob.y, ob.radius))):
+                raise ConfigError(f"obstacle {i} must have finite x, y and radius")
             if ob.radius <= 0:
                 raise ConfigError(f"obstacle {i} has nonpositive radius")
             if math.hypot(ob.x, ob.y) <= ob.radius:
                 raise ConfigError(f"obstacle {i} covers the origin")
         gs = self.goal_sampler
-        if not 0 <= gs.min_radius <= gs.max_radius:
-            raise ConfigError("goal radii must satisfy 0 <= min <= max")
+        if not 0 <= gs.min_radius <= gs.max_radius < math.inf:
+            raise ConfigError("goal radii must be finite and satisfy 0 <= min <= max")
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,85 @@ class TestLayerHooks:
         assert calls == {"evaluate_specification": 2, "eval_expr": 2 * 3 * 2}
 
 
+class TestOneFileAtATime:
+    """`check`, `report` and `compare` share one loop that reads, decodes and
+    evaluates one trace file before the next, so all three report the first
+    faulty file in path order, whatever the kind of fault."""
+
+    @pytest.fixture
+    def faulty_dir(self, tmp_path):
+        (tmp_path / "r.stl").write_text("signal x : real\nsignal y : real\nrule r: y > 0\n")
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "a.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault: no y
+        (d / "b.csv").write_text("time,x,y\n0,1,1\n")  # decode fault: one row
+        return tmp_path
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_first_faulty_file_in_path_order_is_reported(self, faulty_dir, command, capsys):
+        d = faulty_dir / "d"
+        targets = {
+            "check": [str(d / "a.csv"), str(d / "b.csv")],
+            "report": [str(d)],
+            "compare": [str(d), str(d)],
+        }
+        assert run([command, str(faulty_dir / "r.stl"), *targets[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'a': rule 'r': signal 'y' missing from trace 'a'\n"
+
+    def test_compare_lists_both_directories_before_reading_a_file(self, faulty_dir, capsys):
+        missing = faulty_dir / "missing"
+        assert run(["compare", str(faulty_dir / "r.stl"), str(faulty_dir / "d"),
+                    str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: not a directory: {missing}\n"
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_each_file_is_evaluated_before_the_next_is_read(
+        self, workspace, tmp_path, monkeypatch, command
+    ):
+        fleet = fill_dir(tmp_path / "fleet", [1.0, 2.0])
+        log = []
+        load, evaluate = stlmon.cli.load_trace_csv, stlmon.cli.evaluate_specification
+
+        def logged_load(data, spec, trace_id):
+            log.append(("load", trace_id))
+            return load(data, spec, trace_id=trace_id)
+
+        def logged_evaluate(spec, trace):
+            log.append(("evaluate", trace.id))
+            return evaluate(spec, trace)
+
+        monkeypatch.setattr(stlmon.cli, "load_trace_csv", logged_load)
+        monkeypatch.setattr(stlmon.cli, "evaluate_specification", logged_evaluate)
+        targets = {
+            "check": sorted(map(str, fleet.iterdir())),
+            "report": [str(fleet)],
+            "compare": [str(fleet), str(fleet)],
+        }
+        assert run([command, str(workspace / "rules.stl"), *targets[command]]) == 0
+        one_pass = [("load", "t000"), ("evaluate", "t000"), ("load", "t001"), ("evaluate", "t001")]
+        assert log == one_pass * (2 if command == "compare" else 1)
+
+
+class TestProfileOut:
+    @pytest.mark.parametrize("trace_id", ["../escaped", "sub/dir", "back\\slash", "nul\u0000"])
+    def test_path_like_trace_id_exits_two_and_writes_nothing(self, tmp_path, trace_id, capsys):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: x > 0\n")
+        trace = tmp_path / "j.json"
+        trace.write_text(json.dumps({"id": trace_id, "dt": 1, "signals": {"x": [1, 2]}}))
+        before = sorted(tmp_path.rglob("*"))
+        code = run(["check", str(spec), str(trace), "--profile-out", str(tmp_path / "prof")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: trace '{trace_id}': id must be a plain file name for --profile-out\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("trace", ["ok.csv", "bad.csv"])
     def test_module_forms_match_main(self, workspace, trace):

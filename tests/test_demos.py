@@ -1,0 +1,23 @@
+"""The walkthroughs in demos/ run cleanly against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr == b""

@@ -314,6 +314,46 @@ class TestTruncation:
         assert list(profile.root) == [1.0, 1.0, 3.0]
 
 
+class TestHugeBounds:
+    """Offsets past the end are clamped to the trace length, which is exact
+    under truncation, so no bound is too large to evaluate."""
+
+    BIG = float(2**63)
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            Globally(Interval(0, 2 * BIG), x_gt(2)),
+            Globally(Interval(BIG, 2 * BIG), x_gt(2)),
+            Globally(Interval(BIG, UNBOUNDED), x_gt(2)),
+            Eventually(Interval(BIG, 2 * BIG), x_gt(2)),
+            Eventually(Interval(0, BIG), x_gt(2)),
+            Until(Interval(BIG, 2 * BIG), x_gt(0), x_gt(4)),
+            Until(Interval(0, BIG), x_gt(2), x_gt(4)),
+            Until(Interval(BIG, UNBOUNDED), x_gt(0), x_gt(2)),
+        ],
+    )
+    def test_bounds_past_int64_match_the_oracle(self, formula):
+        trace = trace_of(x=[5, 1, 3, 6, 2])
+        assert robustness(formula, trace).rho == naive_rho(formula, trace)
+        assert boolean_monitor(formula, trace) == naive_bool(formula, trace)
+        memo = {}
+        want = [naive_rho(formula, trace, t, memo) for t in range(len(trace))]
+        assert robustness_profile(formula, trace).root.tolist() == want
+
+    @pytest.mark.parametrize("op", [Globally, Eventually, Until])
+    def test_bound_over_dt_overflowing_reads_the_final_sample(self, op):
+        huge = float("1" + "0" * 307)  # huge / 0.01 is inf
+        payload = '{"id": "t", "dt": 0.01, "signals": {"x": [5, 1, 3], "a": [9, 9, 9]}}'
+        trace = load_trace_json(payload, SPEC)
+        window, child = Interval(huge, UNBOUNDED), x_gt(1)
+        a_positive = Atom(Compare(SignalRef("a"), CmpOp.GT, Constant(0)))
+        f = Until(window, a_positive, child) if op is Until else op(window, child)
+        assert robustness(f, trace).rho == 2.0
+        assert boolean_monitor(f, trace) is True
+        assert robustness_profile(f, trace).root.tolist() == [2.0, 2.0, 2.0]
+
+
 class TestUnboundedWindow:
     @pytest.mark.parametrize("op", [Globally, Eventually])
     def test_matches_oracles_for_any_lower_bound(self, op):

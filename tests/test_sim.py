@@ -26,6 +26,8 @@ QUIET = PolicyParams(
     turn_gain=2.0, noise_std=0.0, repulsion_gain=0.0, repulsion_range=0.0, turn_smoothing=0.0
 )
 
+GOAL_RADII = "goal radii must be finite and satisfy 0 <= min <= max"
+
 
 def open_arena(**overrides):
     base = dict(
@@ -249,6 +251,13 @@ class TestConfigFile:
             ("pre.repulsion_gain", "-inf", "policy 'pre': repulsion_gain must be finite"),
             ("pre.repulsion_range", "nan", "policy 'pre': repulsion_range must be finite"),
             ("pre.turn_smoothing", "nan", "policy 'pre': turn_smoothing must be finite"),
+            ("angular_menu", "-inf,-1.25,0,1.25,inf", "angular_menu entries must be finite"),
+            ("angular_menu", "-2.5,-1.25,nan,1.25,2.5", "angular_menu entries must be finite"),
+            ("obstacles", "inf,0,0.28; -1,0,0.2", "obstacle 0 must have finite x, y and radius"),
+            ("obstacles", "1,0,0.2; -1,0,nan", "obstacle 1 must have finite x, y and radius"),
+            ("goal_sampler", "2025,1.6,inf", GOAL_RADII),
+            ("goal_sampler", "2025,inf,inf", GOAL_RADII),
+            ("goal_sampler", "2025,nan,1.9", GOAL_RADII),
         ],
     )
     def test_non_finite_and_fractional_settings_rejected(self, key, value, message):
@@ -279,6 +288,21 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"error: {config}: policy 'pre': turn_gain must be finite\n"
         )
+
+    def test_simulate_rejects_infinite_obstacle_before_writing(self, tmp_path, capsys):
+        cfg, pre, post = builtin_presets()
+        text = format_config(cfg, {"pre": pre, "post": post})
+        config = tmp_path / "inf.cfg"
+        config.write_text(re.sub(r"(?m)^obstacles = .*$", "obstacles = inf,0,0.28", text))
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        code = run(["simulate", "--config", str(config), "--policy", "pre",
+                    "--n", "2", "--out", str(fleet)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: obstacle 0 must have finite x, y and radius\n"
+        )
+        assert list(fleet.iterdir()) == []
 
     def test_missing_scenario_keys_reported(self):
         with pytest.raises(ConfigError, match="missing scenario keys"):
