@@ -25,7 +25,13 @@ from pathlib import Path
 from .formula import SignalKind, Specification, format_number
 from .metrics import CompareReport, FleetReport, compare_fleets, fleet_report
 from .parser import ParseError, parse_spec
-from .robustness import RobustnessResult, Verdict, evaluate_specification, robustness_profile
+from .robustness import (
+    BLOCK_SAMPLES,
+    RobustnessResult,
+    Verdict,
+    evaluate_specification,
+    robustness_profile,
+)
 from .sim import ConfigError, builtin_presets, format_config, parse_config_text, simulate_fleet
 from .traces import (
     Series,
@@ -82,25 +88,57 @@ def _trace_paths(directory: str) -> list[Path]:
     return paths
 
 
+def _decoded(spec: Specification, path: Path) -> Trace:
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read trace {path}: {exc}") from None
+    try:
+        if path.suffix == ".json":
+            return load_trace_json(data, spec)
+        return load_trace_csv(data, spec, trace_id=path.stem)
+    except TraceError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _chunk_results(spec: Specification, chunk: list[Trace]):
+    """Evaluate a chunk with one call, or on a fault walk it one trace at a
+    time, in path order, to name the first faulty trace."""
+    try:
+        flat = evaluate_specification(spec, *chunk)
+    except Exception:
+        for trace in chunk:
+            try:
+                results = evaluate_specification(spec, trace)
+            except Exception as exc:
+                raise CliError(f"trace '{trace.id}': {exc}") from None
+            yield trace, results
+        return
+    k = len(spec.rules)
+    for i, trace in enumerate(chunk):
+        yield trace, flat[i * k:(i + 1) * k]
+
+
 def _evaluated(spec: Specification, paths) -> Iterator[tuple[Trace, list[RobustnessResult]]]:
-    """Read, decode and evaluate one trace file at a time, in path order."""
+    """Read and decode trace files in path order and evaluate them a chunk
+    of about BLOCK_SAMPLES samples at a time, keeping only the results.
+
+    The fault reported is that of the first faulty file in path order:
+    the files before a read or decode fault are evaluated first."""
+    chunk: list[Trace] = []
+    samples = 0
     for path in map(Path, paths):
         try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise CliError(f"cannot read trace {path}: {exc}") from None
-        try:
-            if path.suffix == ".json":
-                trace = load_trace_json(data, spec)
-            else:
-                trace = load_trace_csv(data, spec, trace_id=path.stem)
-        except TraceError as exc:
-            raise CliError(f"{path}: {exc}") from None
-        try:
-            results = evaluate_specification(spec, trace)
-        except Exception as exc:
-            raise CliError(f"trace '{trace.id}': {exc}") from None
-        yield trace, results
+            trace = _decoded(spec, path)
+        except CliError:
+            yield from _chunk_results(spec, chunk)
+            raise
+        if chunk and samples + len(trace) > BLOCK_SAMPLES:
+            yield from _chunk_results(spec, chunk)
+            chunk, samples = [], 0
+        chunk.append(trace)
+        samples += len(trace)
+    yield from _chunk_results(spec, chunk)
 
 
 def _fleet_reports(spec: Specification, paths: list[Path]) -> list[FleetReport]:
@@ -136,10 +174,11 @@ def _display_pct(value: float) -> str:
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
     rows = []
+    profiled: set[str] = set()
     for trace, results in _evaluated(spec, args.traces):
         rows.extend((trace.id, result) for result in results)
         if args.profile_out:
-            _write_profiles(args.profile_out, spec, trace)
+            _write_profiles(args.profile_out, spec, trace, profiled)
 
     if args.format == "json":
         payload = [
@@ -164,9 +203,12 @@ def _cmd_check(args) -> int:
     return 1 if violated else 0
 
 
-def _write_profiles(out_dir: str, spec: Specification, trace: Trace) -> None:
+def _write_profiles(out_dir: str, spec: Specification, trace: Trace, written: set[str]) -> None:
     if any(c in trace.id for c in "/\\\0"):
         raise CliError(f"trace '{trace.id}': id must be a plain file name for --profile-out")
+    if trace.id in written:
+        raise CliError(f"trace '{trace.id}': duplicate id for --profile-out")
+    written.add(trace.id)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     for rule in spec.rules:

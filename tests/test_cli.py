@@ -5,14 +5,13 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stlmon
 import stlmon.cli
-from stlmon.cli import builtin_spec_path, run
+from stlmon.cli import BLOCK_SAMPLES, builtin_spec_path, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -283,22 +282,19 @@ class TestLayerHooks:
     """`bench/traced.py` times each layer by replacing these module attributes,
     so evaluation must keep calling through them."""
 
-    def test_check_calls_through_module_attributes(self, tmp_path, monkeypatch):
+    def test_check_calls_through_module_attributes(self, tmp_path, monkeypatch, capsys):
         # the package's `robustness` function shadows the module's name
         evaluator = importlib.import_module("stlmon.robustness")
-        calls = Counter()
+        assert callable(evaluator.eval_expr)
+        calls = []
+        evaluate = stlmon.cli.evaluate_specification
 
-        def count_calls(module, name):
-            fn = getattr(module, name)
+        def recorded(spec, *traces):
+            results = evaluate(spec, *traces)
+            calls.append(([t.id for t in traces], [r.rule_name for r in results]))
+            return results
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count_calls(evaluator, "eval_expr")
-        count_calls(stlmon.cli, "evaluate_specification")
+        monkeypatch.setattr(stlmon.cli, "evaluate_specification", recorded)
         spec = tmp_path / "r.stl"
         spec.write_text(
             "signal speed : real\nsignal done : bool\n"
@@ -306,17 +302,22 @@ class TestLayerHooks:
             "rule b: (F[0, 1] (done)) || (speed > 0)\n"
         )
         traces = [tmp_path / "t0.csv", tmp_path / "t1.csv"]
-        for path in traces:
-            path.write_text("time,speed,done\n0,850,false\n1,870,true\n")
-        assert run(["check", str(spec), *map(str, traces)]) == 0
-        # three Compare atoms per trace, each evaluating its two operands
-        assert calls == {"evaluate_specification": 2, "eval_expr": 2 * 3 * 2}
+        traces[0].write_text("time,speed,done\n0,850,false\n1,870,true\n")
+        traces[1].write_text("time,speed,done\n0,800,false\n1,800,false\n")
+        assert run(["check", str(spec), "--format", "json", *map(str, traces)]) == 0
+        # one call for the chunk, its results flat in (trace, rule) order
+        assert calls == [(["t0", "t1"], ["a", "b", "a", "b"])]
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["trace"], r["rule"], r["rho"]) for r in rows] == [
+            ("t0", "a", 30.0), ("t0", "b", 850.0), ("t1", "a", 100.0), ("t1", "b", 800.0),
+        ]
 
 
 class TestOneFileAtATime:
-    """`check`, `report` and `compare` share one loop that reads, decodes and
-    evaluates one trace file before the next, so all three report the first
-    faulty file in path order, whatever the kind of fault."""
+    """`check`, `report` and `compare` share one loop that reads and decodes
+    trace files in path order and evaluates them a chunk at a time, so all
+    three report the first faulty file in path order, whatever the kind of
+    fault."""
 
     @pytest.fixture
     def faulty_dir(self, tmp_path):
@@ -346,11 +347,9 @@ class TestOneFileAtATime:
                     str(missing)]) == 2
         assert capsys.readouterr().err == f"error: not a directory: {missing}\n"
 
-    @pytest.mark.parametrize("command", ["check", "report", "compare"])
-    def test_each_file_is_evaluated_before_the_next_is_read(
-        self, workspace, tmp_path, monkeypatch, command
-    ):
-        fleet = fill_dir(tmp_path / "fleet", [1.0, 2.0])
+    @staticmethod
+    def log_calls(monkeypatch):
+        """Log each trace load and each evaluation call, with its traces."""
         log = []
         load, evaluate = stlmon.cli.load_trace_csv, stlmon.cli.evaluate_specification
 
@@ -358,23 +357,159 @@ class TestOneFileAtATime:
             log.append(("load", trace_id))
             return load(data, spec, trace_id=trace_id)
 
-        def logged_evaluate(spec, trace):
-            log.append(("evaluate", trace.id))
-            return evaluate(spec, trace)
+        def logged_evaluate(spec, *traces):
+            log.append(("evaluate", tuple(t.id for t in traces), sum(map(len, traces))))
+            return evaluate(spec, *traces)
 
         monkeypatch.setattr(stlmon.cli, "load_trace_csv", logged_load)
         monkeypatch.setattr(stlmon.cli, "evaluate_specification", logged_evaluate)
+        return log
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_each_chunk_is_evaluated_with_one_call(self, workspace, tmp_path, monkeypatch, command):
+        fleet = fill_dir(tmp_path / "fleet", [1.0, 2.0, 3.0])
+        log = self.log_calls(monkeypatch)
         targets = {
             "check": sorted(map(str, fleet.iterdir())),
             "report": [str(fleet)],
             "compare": [str(fleet), str(fleet)],
         }
         assert run([command, str(workspace / "rules.stl"), *targets[command]]) == 0
-        one_pass = [("load", "t000"), ("evaluate", "t000"), ("load", "t001"), ("evaluate", "t001")]
+        one_pass = [("load", "t000"), ("load", "t001"), ("load", "t002"),
+                    ("evaluate", ("t000", "t001", "t002"), 6)]
         assert log == one_pass * (2 if command == "compare" else 1)
+
+    def test_fleet_over_the_budget_is_evaluated_in_several_chunks(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        piece = BLOCK_SAMPLES // 3
+        lengths = [piece] * 4 + [BLOCK_SAMPLES + 5] + [piece] * 2
+        for i, n in enumerate(lengths):
+            rows = "".join(f"{t},{850 + t % 7}\n" for t in range(n))
+            (fleet / f"t{i:02d}.csv").write_text("time,speed\n" + rows)
+        log = self.log_calls(monkeypatch)
+        assert run(["report", str(workspace / "rules.stl"), str(fleet)]) == 0
+        ids = [f"t{i:02d}" for i in range(len(lengths))]
+        assert [entry[1] for entry in log if entry[0] == "load"] == ids
+        calls = [entry[1:] for entry in log if entry[0] == "evaluate"]
+        assert [i for traces, _ in calls for i in traces] == ids
+        assert len(calls) == 4
+        for traces, samples in calls:
+            assert samples <= BLOCK_SAMPLES or len(traces) == 1
+        # a chunk is evaluated as soon as the next file does not fit in it
+        load = [("load", i) for i in ids]
+        assert log == [
+            *load[:4], ("evaluate", tuple(ids[:3]), 3 * piece),
+            load[4], ("evaluate", (ids[3],), piece),
+            load[5], ("evaluate", (ids[4],), BLOCK_SAMPLES + 5),
+            load[6], ("evaluate", tuple(ids[5:]), 2 * piece),
+        ]
+
+
+class TestChunkFaultOrder:
+    """Chunking keeps the reported fault that of the first faulty file in
+    path order, and within it the first faulty rule in evaluation order,
+    with the same message as when each file is evaluated alone."""
+
+    @staticmethod
+    def spec(tmp_path, text="signal x : real\nsignal y : real\nrule r: y > 0\n"):
+        (tmp_path / "r.stl").write_text(text)
+        return str(tmp_path / "r.stl")
+
+    @staticmethod
+    def targets(command, d):
+        return {
+            "check": sorted(map(str, d.iterdir())),
+            "report": [str(d)],
+            "compare": [str(d), str(d)],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_evaluation_fault_before_a_decode_fault_in_one_chunk(self, tmp_path, command, capsys):
+        d = tmp_path / "d"
+        d.mkdir()
+        for name in ("f1", "f3", "f4"):
+            (d / f"{name}.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")
+        (d / "f2.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault: no y
+        (d / "f5.csv").write_text("time,x,y\n0,1,1\n")  # decode fault: one row
+        assert run([command, self.spec(tmp_path), *self.targets(command, d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'f2': rule 'r': signal 'y' missing from trace 'f2'\n"
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_earlier_path_then_earliest_rule_in_one_block(self, tmp_path, command, capsys):
+        spec = self.spec(
+            tmp_path,
+            "signal x : real\nsignal y : real\nsignal z : real\n"
+            "rule r1: G[0, inf] (y > 0)\nrule r2: (x > 0) && (z > 0)\n",
+        )
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "a.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")  # r2 faults: no z
+        (d / "b.csv").write_text("time,x\n0,1\n1,2\n")  # r1 and r2 fault
+        assert run([command, spec, *self.targets(command, d)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trace 'a': rule 'r2': signal 'z' missing from trace 'a'\n"
+        )
+        (d / "a.csv").write_text("time,x\n0,1\n1,2\n")  # now r1 faults first
+        assert run([command, spec, *self.targets(command, d)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trace 'a': rule 'r1': signal 'y' missing from trace 'a'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    def test_fault_in_the_first_file_after_a_chunk_boundary(self, tmp_path, command, capsys):
+        d = tmp_path / "d"
+        d.mkdir()
+        n = BLOCK_SAMPLES // 4
+        good = "time,x,y\n" + "".join(f"{t},1,{t + 1}\n" for t in range(n))
+        for i in range(4):  # exactly fills the first chunk
+            (d / f"f{i}.csv").write_text(good)
+        (d / "f4.csv").write_text("time,x,y\n0,1,1\n1,2,0\n2,3,-1\n")  # rho -1: no fault
+        (d / "f5.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault
+        (d / "f6.csv").write_text("time,x,y\n0,1\n")  # decode fault
+        assert run([command, self.spec(tmp_path), *self.targets(command, d)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trace 'f5': rule 'r': signal 'y' missing from trace 'f5'\n"
+        )
+
+    def test_unaligned_interval_under_mixed_dt(self, tmp_path, capsys):
+        spec = self.spec(tmp_path, "signal x : real\nrule al: G[0, 0.25] (x > 0)\n")
+        d = tmp_path / "d"
+        d.mkdir()
+        for name, dt in (("a", 0.05), ("b", 0.1), ("c", 0.05), ("d", 0.1)):
+            (d / f"{name}.json").write_text(json.dumps(
+                {"id": name, "dt": dt, "signals": {"x": [1, 2, 3]}}
+            ))
+        for command in ("check", "report", "compare"):
+            assert run([command, spec, *self.targets(command, d)]) == 2
+            assert capsys.readouterr().err == (
+                "error: trace 'b': rule 'al': interval bound 0.25 is not a whole number "
+                "of samples at dt=0.1\n"
+            )
 
 
 class TestProfileOut:
+    def test_duplicate_trace_id_exits_two_before_overwriting(self, tmp_path, capsys):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: x > 0\n")
+        paths = []
+        for sub, x in (("d1", 1), ("d2", 5)):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "a.csv")
+            paths[-1].write_text(f"time,x\n0,{x}\n1,{x}\n")
+        prof = tmp_path / "prof"
+        assert run(["check", str(spec), *map(str, paths), "--profile-out", str(prof)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'a': duplicate id for --profile-out\n"
+        # the first trace's profile stays, and nothing else was written
+        assert sorted(p.name for p in prof.iterdir()) == ["a__r.csv"]
+        assert (prof / "a__r.csv").read_text() == "time,root\n0,1\n1,1\n"
+
     @pytest.mark.parametrize("trace_id", ["../escaped", "sub/dir", "back\\slash", "nul\u0000"])
     def test_path_like_trace_id_exits_two_and_writes_nothing(self, tmp_path, trace_id, capsys):
         spec = tmp_path / "r.stl"

@@ -17,16 +17,20 @@ from stlmon import (
     Eventually,
     Globally,
     Interval,
+    Mul,
     Not,
     Or,
+    Rule,
     Series,
     SignalKind,
     SignalRef,
+    Specification,
     Trace,
     UNBOUNDED,
     Until,
     Verdict,
     boolean_monitor,
+    evaluate_specification,
     load_trace_csv,
     load_trace_json,
     parse_spec,
@@ -34,8 +38,9 @@ from stlmon import (
     robustness_profile,
     windowed_extremum,
 )
-from stlmon.robustness import _shifted_window, _until_series
+from stlmon.robustness import _Plan, _blocks, _shifted_window, _until_series
 from reference import (
+    PALETTE,
     deque_windowed,
     naive_bool,
     naive_rho,
@@ -486,3 +491,116 @@ class TestLinearUntil:
             elapsed = time.perf_counter() - start
             assert result.rho == expected[rule.name]
             assert elapsed < 1.0, f"{rule.name}: {elapsed * 1000:.0f}ms"
+
+
+def subformulas(f, path="root"):
+    """(profile path, node) for every node of a formula."""
+    yield path, f
+    for name in ("child", "lhs", "rhs"):
+        if hasattr(f, name):
+            yield from subformulas(getattr(f, name), f"{path}.{name}")
+
+
+def canonical(values):
+    return [repr(v + 0.0) for v in values]
+
+
+class TestBlockOracle:
+    """The block core against the reference evaluator: traces of mixed
+    lengths and dt share blocks, and every live sample of every node must
+    equal the direct definition exactly."""
+
+    @staticmethod
+    def check_blocks(formulas, traces):
+        spec = Specification(PALETTE, tuple(Rule(f"r{k}", f) for k, f in enumerate(formulas)))
+        results = evaluate_specification(spec, *traces)
+        assert len(results) == len(traces) * len(formulas)
+        for i, trace in enumerate(traces):
+            for f, result in zip(formulas, results[i * len(formulas):]):
+                assert repr(result.rho) == repr(naive_rho(f, trace) + 0.0)
+        quantitative, holds = _Plan(formulas), _Plan(formulas, holds=True)
+        blocks = _blocks(traces)
+        assert sorted(i for rows in blocks for i in rows) == list(range(len(traces)))
+        for rows in blocks:
+            block = [traces[i] for i in rows]
+            assert len({t.dt for t in block}) == 1
+            assert max(map(len, block)) < 2 * min(map(len, block))
+            values, verdicts = quantitative.run(block), holds.run(block)
+            for r, trace in enumerate(block):
+                n = len(trace)
+                for k, f in enumerate(formulas):
+                    verdict = naive_bool(f, trace)
+                    assert bool(verdicts[holds.roots[k]][r, 0] > 0) == verdict
+                    assert boolean_monitor(f, trace) == verdict
+                    assert repr(robustness(f, trace).rho) == repr(naive_rho(f, trace) + 0.0)
+                    profile = robustness_profile(f, trace).series
+                    nodes = dict(subformulas(f))
+                    assert set(profile) == set(nodes) == set(quantitative.paths[k])
+                    memo = {}
+                    for path, step in quantitative.paths[k].items():
+                        want = canonical([naive_rho(nodes[path], trace, t, memo) for t in range(n)])
+                        assert canonical(values[step][r, :n].tolist()) == want, path
+                        assert canonical(profile[path].tolist()) == want, path
+
+    def test_random_formulas_over_mixed_blocks(self):
+        rng = random.Random(41)
+        for _ in range(4):
+            formulas = [random_formula(rng, 3) for _ in range(3)]
+            traces = []
+            for _ in range(20):
+                dt = rng.choice((1.0, 0.25))
+                min_len, max_len = rng.choice(((2, 2), (2, 3), (4, 60), (128, 400)))
+                traces.append(random_trace(rng, dt, min_len, max_len))
+            self.check_blocks(formulas, traces)
+
+    def test_until_nested_under_globally(self):
+        rng = random.Random(42)
+        for _ in range(8):
+            formulas = [
+                Globally(Interval(0, UNBOUNDED), Until(window, random_formula(rng, 1), random_formula(rng, 1)))
+                for window in (
+                    Interval(0, float(rng.randrange(0, 6))),
+                    Interval(0, UNBOUNDED),
+                    Interval(float(rng.randrange(1, 4)), UNBOUNDED),
+                    Interval(float(rng.randrange(1, 4)), float(rng.randrange(4, 9))),
+                )
+            ]
+            traces = [random_trace(rng, rng.choice((1.0, 0.5)), max_len=40) for _ in range(10)]
+            self.check_blocks(formulas, traces)
+
+    def test_signed_zero_constants_are_separate_nodes(self):
+        # Constant(0.0) == Constant(-0.0) in Python, but x * 0.0 and x * -0.0
+        # differ in the sign of every zero they give
+        x = SignalRef("x")
+        formulas = [
+            Atom(Compare(Mul(x, Constant(0.0)), CmpOp.GE, Constant(0.0))),
+            Atom(Compare(Mul(x, Constant(-0.0)), CmpOp.GE, Constant(-0.0))),
+        ]
+        assert formulas[0] == formulas[1]
+        plan = _Plan(formulas)
+        assert plan.roots[0] != plan.roots[1]
+        rng = random.Random(43)
+        traces = [random_trace(rng, max_len=30) for _ in range(6)]
+        for rows in _blocks(traces):
+            block = [traces[i] for i in rows]
+            values = plan.run(block)
+            for r, trace in enumerate(block):
+                for f, root in zip(formulas, plan.roots):
+                    want = [naive_rho(f, trace, t) for t in range(len(trace))]
+                    assert list(map(repr, values[root][r, :len(trace)].tolist())) == list(map(repr, want))
+        self.check_blocks(formulas, traces)
+
+    def test_shared_subterms_are_evaluated_once(self):
+        spec = parse_spec(
+            "signal phi : real\n"
+            "rule r: G[0, inf] ((abs(deriv(phi)) > 0.2) -> F[0, 5] (abs(deriv(phi)) <= 0.2))\n"
+        )
+        plan = _Plan([rule.formula for rule in spec.rules])
+        kernels = [kernel.__name__ for kernel, _, _ in plan.steps]
+        assert kernels.count("_deriv") == 1 and kernels.count("_ref") == 1
+
+    def test_shared_profile_paths_share_one_read_only_array(self):
+        f = And(Globally(Interval(0, 2), x_gt(0)), Eventually(Interval(0, 1), x_gt(0)))
+        profile = robustness_profile(f, trace_of(x=[1, -2, 3, 4]))
+        assert profile.series["root.lhs.child"] is profile.series["root.rhs.child"]
+        assert not profile.series["root.lhs.child"].flags.writeable
