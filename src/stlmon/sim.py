@@ -155,19 +155,9 @@ class EpisodeRecord:
     steps: int  # live steps executed (trace has steps+1 samples, min 2)
 
 
-def _wrap(angle: float) -> float:
-    return math.atan2(math.sin(angle), math.cos(angle))
-
-
-def _dist_obst(x: float, y: float, cfg: ScenarioConfig) -> float:
-    """Distance to the nearest obstacle surface or arena wall (signed)."""
-    d = cfg.map_half_extent - max(abs(x), abs(y))
-    for ob in cfg.obstacles:
-        d = min(d, math.hypot(ob.x - x, ob.y - y) - ob.radius)
-    return d
-
-
-def _sample_goal(cfg: ScenarioConfig, episode_seed: int) -> tuple[float, float]:
+def sample_goal(cfg: ScenarioConfig, episode_seed: int) -> tuple[float, float]:
+    """The goal of the episode with this seed; ConfigError if the sampler
+    finds no spot clear of obstacles and walls."""
     rng = SplitMix64(_GOAL_STREAM, cfg.goal_sampler.seed, episode_seed)
     lo, hi = cfg.goal_sampler.min_radius, cfg.goal_sampler.max_radius
     for _ in range(1000):
@@ -188,91 +178,57 @@ def _sample_goal(cfg: ScenarioConfig, episode_seed: int) -> tuple[float, float]:
     raise ConfigError("goal sampler cannot place a goal clear of obstacles and walls")
 
 
-def _repulsion(x: float, y: float, phi: float, cfg: ScenarioConfig, p: PolicyParams) -> float:
-    """Turn-rate push away from nearby obstacles and walls.
-
-    Each hazard within repulsion_range ahead of the shoulder line adds a
-    push away from its bearing, scaled by proximity; hazards behind are
-    ignored. Ties at dead-ahead steer right.
-    """
-    if p.repulsion_gain == 0.0 or p.repulsion_range <= 0.0:
-        return 0.0
-    total = 0.0
-    hazards = [(math.hypot(ob.x - x, ob.y - y) - ob.radius, math.atan2(ob.y - y, ob.x - x))
-               for ob in cfg.obstacles]
-    e = cfg.map_half_extent
-    hazards.append((e - x, 0.0))
-    hazards.append((e + x, math.pi))
-    hazards.append((e - y, 0.5 * math.pi))
-    hazards.append((e + y, -0.5 * math.pi))
-    for dist, bearing in hazards:
-        if dist >= p.repulsion_range:
-            continue
-        rel = _wrap(bearing - phi)
-        if abs(rel) >= 0.5 * math.pi:
-            continue
-        strength = p.repulsion_gain * (1.0 - max(dist, 0.0) / p.repulsion_range)
-        total += -strength if rel >= 0 else strength
-    return total
-
-
-def _nearest_menu(menu, desired: float) -> float:
-    best = menu[0]
-    best_err = abs(menu[0] - desired)
-    for m in menu[1:]:
-        err = abs(m - desired)
-        if err < best_err:
-            best, best_err = m, err
-    return best
-
-
 def simulate_episode(cfg: ScenarioConfig, params: PolicyParams, seed: int) -> EpisodeRecord:
     """Run one episode; deterministic given (cfg, params, seed).
 
     Per step: the policy forms a desired turn rate
         smoothing * previous + (1 - smoothing) * (gain * heading_error
                                                   + repulsion + noise),
-    snaps it to the nearest menu entry, then the unicycle integrates
-    x += v cos(phi) dt, y += v sin(phi) dt, phi += omega dt. The episode
-    ends on goal reach (within GOAL_RADIUS), collision (dist_obst <= 0),
-    or max_steps.
+    snaps it to the nearest menu entry (the first of equally near ones),
+    then the unicycle integrates x += v cos(phi) dt, y += v sin(phi) dt,
+    phi += omega dt. Angles are wrapped as atan2(sin a, cos a). The
+    episode ends on goal reach (within GOAL_RADIUS), collision
+    (dist_obst <= 0), or max_steps.
+
+    Repulsion is a turn-rate push away from nearby hazards: each obstacle
+    surface, then the walls at +x, -x, +y and -y, that lies within
+    repulsion_range and ahead of the shoulder line adds
+    gain * (1 - max(dist, 0) / range), away from its bearing; hazards
+    behind are ignored and ties at dead-ahead steer right.
+
+    The loop keeps every per-episode constant in a local, and each
+    position's obstacle gaps serve both its dist_obst sample and the next
+    step's repulsion; every float expression is evaluated in the order
+    written above, so fleets are bit-identical across versions.
     """
-    gx, gy = _sample_goal(cfg, seed)
-    noise = SplitMix64(_NOISE_STREAM, seed)
-    v, dt = cfg.linear_speed, cfg.dt
+    gx, gy = sample_goal(cfg, seed)
+    normal = SplitMix64(_NOISE_STREAM, seed).normal
+    hypot, atan2, sin, cos = math.hypot, math.atan2, math.sin, math.cos
+    v, dt, e, max_steps = cfg.linear_speed, cfg.dt, cfg.map_half_extent, cfg.max_steps
+    obstacles = [(ob.x, ob.y, ob.radius) for ob in cfg.obstacles]
+    menu, rest = cfg.angular_menu[0], cfg.angular_menu[1:]
+    turn_gain, noise_std = params.turn_gain, params.noise_std
+    smoothing = params.turn_smoothing
+    keep = 1.0 - smoothing
+    gain, reach = params.repulsion_gain, params.repulsion_range
+    # hazards nearer than `cutoff` repel; none do when repulsion is off
+    cutoff = -math.inf if gain == 0.0 or reach <= 0.0 else reach
+    half_pi = 0.5 * math.pi
 
-    x = y = phi = 0.0
-    desired_prev = 0.0
-    xs, ys, phis = [x], [y], [phi]
-    dists = [_dist_obst(x, y, cfg)]
-    reached = math.hypot(gx - x, gy - y) <= GOAL_RADIUS
-    flags = [reached]
-
-    outcome = None
-    if reached:
-        outcome = "goal"
-    elif dists[0] <= 0:
-        outcome = "collision"
-
+    x = y = phi = desired = 0.0
+    xs, ys, phis, dists, flags = [], [], [], [], []
     steps = 0
-    while outcome is None and steps < cfg.max_steps:
-        heading_error = _wrap(math.atan2(gy - y, gx - x) - phi)
-        raw = (
-            params.turn_gain * heading_error
-            + _repulsion(x, y, phi, cfg, params)
-            + params.noise_std * noise.normal()
-        )
-        desired = params.turn_smoothing * desired_prev + (1.0 - params.turn_smoothing) * raw
-        desired_prev = desired
-        omega = _nearest_menu(cfg.angular_menu, desired)
-
-        x += v * math.cos(phi) * dt
-        y += v * math.sin(phi) * dt
-        phi += omega * dt
-        steps += 1
-
-        d = _dist_obst(x, y, cfg)
-        reached = reached or math.hypot(gx - x, gy - y) <= GOAL_RADIUS
+    while True:
+        # sense at (x, y): clearance, goal latch, and the hazards in range
+        d = e - max(abs(x), abs(y))
+        near = []
+        for ox, oy, r in obstacles:
+            gap = hypot(ox - x, oy - y) - r
+            if gap < d:
+                d = gap
+            if gap < cutoff:
+                near.append((gap, atan2(oy - y, ox - x)))
+        reached = hypot(gx - x, gy - y) <= GOAL_RADIUS
         xs.append(x)
         ys.append(y)
         phis.append(phi)
@@ -280,10 +236,45 @@ def simulate_episode(cfg: ScenarioConfig, params: PolicyParams, seed: int) -> Ep
         flags.append(reached)
         if reached:
             outcome = "goal"
-        elif d <= 0:
+            break
+        if d <= 0:
             outcome = "collision"
-    if outcome is None:
-        outcome = "timeout"
+            break
+        if steps == max_steps:
+            outcome = "timeout"
+            break
+
+        # act: heading error, repulsion, noise, smoothing, menu snap
+        a = atan2(gy - y, gx - x) - phi
+        heading_error = atan2(sin(a), cos(a))
+        if e - x < cutoff:
+            near.append((e - x, 0.0))
+        if e + x < cutoff:
+            near.append((e + x, math.pi))
+        if e - y < cutoff:
+            near.append((e - y, half_pi))
+        if e + y < cutoff:
+            near.append((e + y, -half_pi))
+        repulsion = 0.0
+        for dist, bearing in near:
+            b = bearing - phi
+            rel = atan2(sin(b), cos(b))
+            if abs(rel) >= half_pi:
+                continue
+            strength = gain * (1.0 - max(dist, 0.0) / reach)
+            repulsion += -strength if rel >= 0 else strength
+        raw = turn_gain * heading_error + repulsion + noise_std * normal()
+        desired = smoothing * desired + keep * raw
+        omega, best_err = menu, abs(menu - desired)
+        for m in rest:
+            err = abs(m - desired)
+            if err < best_err:
+                omega, best_err = m, err
+
+        x += v * cos(phi) * dt
+        y += v * sin(phi) * dt
+        phi += omega * dt
+        steps += 1
 
     if len(xs) < 2:  # instant termination still emits a 2-sample trace
         xs.append(xs[-1])

@@ -270,10 +270,33 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
     return Trace(obj["id"], dt, times, channels)
 
 
+def _real_cells(values: np.ndarray) -> list[str]:
+    """`format_number` of each value, a column at a time: `repr` is already
+    that form except for integral values under 1e16, written as integers,
+    and values whose repr is in scientific notation (under 1e-4 or at
+    least 1e16), which alone go through `format_number`."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_number(float(values[np.argmin(finite)]))  # raises for the first non-finite value
+    magnitude = np.abs(values)
+    integral = (values == np.trunc(values)) & (magnitude < 1e16)
+    integers = map(str, values[integral].astype(np.int64).tolist())
+    if integral.all():  # a time column
+        return list(integers)
+    floats = values.tolist()
+    cells = list(map(repr, floats))
+    for i, text in zip(np.flatnonzero(integral).tolist(), integers):
+        cells[i] = text
+    scientific = ~integral & ((magnitude < 1e-4) | (magnitude >= 1e16))
+    for i in np.flatnonzero(scientific).tolist():
+        cells[i] = format_number(floats[i])
+    return cells
+
+
 def _format_cells(series: Series) -> list[str]:
-    values = series.values.tolist()
     if series.kind is SignalKind.REAL:
-        return list(map(format_number, values))
+        return _real_cells(series.values)
+    values = series.values.tolist()
     if series.kind is SignalKind.BOOL:
         return ["true" if v else "false" for v in values]
     return list(map(series.variants.__getitem__, values))

@@ -252,6 +252,53 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"no_sharp_turns", "timed_completion", "dont_linger"}
 
+    def test_out_naming_a_file_exits_two_before_any_episode(self, tmp_path, monkeypatch, capfd):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        ran = []
+        monkeypatch.setattr(stlmon.cli, "simulate_fleet", lambda *a: ran.append(a) or [])
+        code = run(["simulate", "--preset", "--policy", "pre", "--n", "3", "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: cannot write fleet to {out}: ")
+        assert err.count("\n") == 1
+        assert ran == []
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_error_in_a_worker_exits_two(self, tmp_path, monkeypatch, capfd, cpus):
+        import multiprocessing
+
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: cpus)
+        out = tmp_path / "fleet"
+        (out / "trace_000020.csv").mkdir(parents=True)  # a directory where a trace goes
+        code = run(["simulate", "--preset", "--policy", "post", "--n", "40",
+                    "--seed", "7", "--out", str(out)])
+        assert code == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write fleet to {out}: ")
+        assert "trace_000020.csv" in captured.err
+        assert captured.err.count("\n") == 1  # one line: no traceback from any process
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.txt").exists()
+
+    def test_unplaceable_goal_exits_two_and_creates_no_out(self, tmp_path, capsys):
+        from stlmon.sim import format_config
+
+        cfg, pre, post = stlmon.builtin_presets()
+        text = format_config(cfg, {"pre": pre, "post": post})
+        config = tmp_path / "far.cfg"
+        config.write_text(text.replace("goal_sampler = 2025,1.6,1.9", "goal_sampler = 2025,8,9"))
+        out = tmp_path / "fleet"
+        code = run(["simulate", "--config", str(config), "--policy", "pre",
+                    "--n", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: goal sampler cannot place a goal clear of obstacles and walls\n"
+        )
+        assert not out.exists()
+
 
 class TestBuiltinSpecs:
     def test_builtin_paths_parse(self):
@@ -545,6 +592,16 @@ class TestEntryPoints:
         assert b"rho=" in expected.stdout
         for got in results[1:]:
             assert (got.returncode, got.stdout) == (expected.returncode, expected.stdout)
+
+
+class TestColdStart:
+    def test_importing_the_cli_starts_no_process_machinery(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        code = ("import sys, stlmon.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestCheckOutputContract:

@@ -1,7 +1,12 @@
 """Simulator: determinism, kinematics, obstacle distances, and config I/O."""
 
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from stlmon import (
     simulate_fleet,
     write_trace_csv,
 )
+import stlmon.cli
 from stlmon.cli import run
 from stlmon.sim import format_config
 
@@ -27,6 +33,15 @@ QUIET = PolicyParams(
 )
 
 GOAL_RADII = "goal radii must be finite and satisfy 0 <= min <= max"
+
+# `simulate --preset --policy P --n 40 --seed 7`: sha256 of the lines
+# "<file> <sha256 of its bytes>" for every file of the fleet, in name order.
+# A fleet's bytes are pinned: no change to the simulator, the CSV writer or
+# the worker pool may alter a fleet that was published.
+FLEET_DIGESTS = {
+    "pre": "fb5543906ed663dc01ed63452b9e55c2fb5d1b8a497fffdf4d931af44f5a310e",
+    "post": "f99b73d5e1089d53def598c0518390f01070b9bdbee0fd01cf7333aa2c3ffaea",
+}
 
 
 def open_arena(**overrides):
@@ -211,6 +226,46 @@ class TestFleets:
         cfg, pre, _ = builtin_presets()
         with pytest.raises(ConfigError):
             simulate_fleet(cfg, pre, 0, 0)
+
+
+def fleet_digest(directory: Path) -> str:
+    listing = "".join(
+        f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+        for path in sorted(directory.iterdir())
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+class TestFleetBytes:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("policy", ["pre", "post"])
+    def test_fleet_bytes_do_not_depend_on_the_cpu_count(
+        self, tmp_path, monkeypatch, capsys, policy, cpus
+    ):
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: cpus)
+        out = tmp_path / "fleet"
+        code = run(["simulate", "--preset", "--policy", policy, "--n", "40",
+                    "--seed", "7", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote 40 traces to {out}\n"
+        assert fleet_digest(out) == FLEET_DIGESTS[policy]
+        manifest = (out / "manifest.txt").read_text()
+        rows = manifest.split("# episodes: file,outcome,steps,goal_x,goal_y\n")[1].splitlines()
+        assert [row.split(",")[0] for row in rows] == [f"trace_{s:06d}.csv" for s in range(7, 47)]
+
+    def test_one_cpu_simulates_in_process(self, tmp_path):
+        code = (
+            "import sys, stlmon.cli\n"
+            "stlmon.cli._cpu_count = lambda: 1\n"
+            f"rc = stlmon.cli.run(['simulate', '--preset', '--policy', 'post', '--n', '40',"
+            f" '--seed', '7', '--out', {str(tmp_path / 'fleet')!r}])\n"
+            "print(rc, 'multiprocessing' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        assert fleet_digest(tmp_path / "fleet") == FLEET_DIGESTS["post"]
 
 
 class TestConfigFile:

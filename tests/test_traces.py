@@ -1,6 +1,7 @@
 """Trace loading, serialization round-trip, and expression evaluation."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -18,12 +19,14 @@ from stlmon import (
     Trace,
     TraceError,
     eval_expr,
+    format_number,
     load_trace_csv,
     load_trace_json,
     parse_spec,
     write_trace_csv,
 )
 from stlmon.cli import run
+from stlmon.traces import write_columns_csv
 from reference import PALETTE_SPEC, expr_at, percell_csv, random_expr, random_trace
 
 SPEC = parse_spec(
@@ -265,6 +268,31 @@ class TestCsvRoundTrip:
             got, want = reloaded.channels[name].values, trace.channels[name].values
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert write_trace_csv(reloaded) == text
+
+    def test_column_formatter_matches_format_number(self):
+        # the writer formats a real column at a time; each cell must be what
+        # format_number makes of it, over every magnitude and branch
+        rng = np.random.default_rng(11)
+        magnitudes = 10.0 ** rng.uniform(-30, 30, 4000)
+        values = magnitudes * rng.choice((-1.0, 1.0), magnitudes.size)
+        values[::7] = np.round(values[::7])  # integral cells among the others
+        edges = [-0.0, 0.0, 5e-324, -5e-324, 1e-4, np.nextafter(1e-4, 0.0),
+                 np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, 2e16), -1e16,
+                 2.0**53 + 2, 1e15 + 0.5, 1.7976931348623157e308, -1.7976931348623157e308]
+        values = np.concatenate([edges, values])
+        text = write_columns_csv(np.arange(values.size, dtype=np.float64),
+                                 {"x": Series(SignalKind.REAL, values)})
+        cells = [line.split(",")[1] for line in text.splitlines()[1:]]
+        assert cells == list(map(format_number, values.tolist()))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_column_formatter_raises_format_number_error(self, bad):
+        values = np.array([1.5, bad, 2.0, math.nan])
+        with pytest.raises(ValueError) as caught:
+            write_columns_csv(np.arange(4.0), {"x": Series(SignalKind.REAL, values)})
+        with pytest.raises(ValueError) as expected:
+            format_number(bad)
+        assert str(caught.value) == str(expected.value)
 
 
 class TestEvalExpr:
