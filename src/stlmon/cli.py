@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -27,13 +28,7 @@ from pathlib import Path
 from .formula import SignalKind, Specification, format_number
 from .metrics import CompareReport, FleetReport, compare_fleets, fleet_report
 from .parser import ParseError, parse_spec
-from .robustness import (
-    BLOCK_SAMPLES,
-    RobustnessResult,
-    Verdict,
-    evaluate_specification,
-    robustness_profile,
-)
+from .robustness import RobustnessResult, Verdict, evaluate_specification, robustness_profile
 from .sim import (
     ConfigError,
     builtin_presets,
@@ -43,6 +38,7 @@ from .sim import (
     simulate_fleet,
 )
 from .traces import (
+    EvalError,
     Series,
     Trace,
     TraceError,
@@ -54,9 +50,23 @@ from .traces import (
 
 BUILTIN_PREFIX = "builtin:"
 
+# Live samples per chunk of trace files evaluated with one call; a longer
+# trace is a chunk of its own.
+BLOCK_SAMPLES = 1 << 13
+
 
 class CliError(Exception):
     """Input problem that should terminate with exit code 2."""
+
+
+@contextmanager
+def _writing(what: str):
+    """Turn an OSError raised while writing `what` into the CliError
+    `cannot write <what>: <reason>`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {what}: {exc}") from None
 
 
 def builtin_spec_path(name: str) -> Path:
@@ -111,18 +121,11 @@ def _decoded(spec: Specification, path: Path) -> Trace:
 
 
 def _chunk_results(spec: Specification, chunk: list[Trace]):
-    """Evaluate a chunk with one call, or on a fault walk it one trace at a
-    time, in path order, to name the first faulty trace."""
+    """Evaluate a chunk with one call; its error names the first faulty trace."""
     try:
         flat = evaluate_specification(spec, *chunk)
-    except Exception:
-        for trace in chunk:
-            try:
-                results = evaluate_specification(spec, trace)
-            except Exception as exc:
-                raise CliError(f"trace '{trace.id}': {exc}") from None
-            yield trace, results
-        return
+    except EvalError as exc:
+        raise CliError(str(exc)) from None
     k = len(spec.rules)
     for i, trace in enumerate(chunk):
         yield trace, flat[i * k:(i + 1) * k]
@@ -164,7 +167,8 @@ def _json_dump(obj) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -219,13 +223,14 @@ def _write_profiles(out_dir: str, spec: Specification, trace: Trace, written: se
         raise CliError(f"trace '{trace.id}': duplicate id for --profile-out")
     written.add(trace.id)
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    for rule in spec.rules:
-        profile = robustness_profile(rule.formula, trace, rule.name)
-        columns = {p: Series(SignalKind.REAL, profile.series[p]) for p in sorted(profile.series)}
-        (root / f"{trace.id}__{rule.name}.csv").write_text(
-            write_columns_csv(trace.times, columns), encoding="utf-8"
-        )
+    with _writing(f"profiles to {out_dir}"):
+        root.mkdir(parents=True, exist_ok=True)
+        for rule in spec.rules:
+            profile = robustness_profile(rule.formula, trace, rule.name)
+            columns = {p: Series(SignalKind.REAL, s) for p, s in sorted(profile.series.items())}
+            (root / f"{trace.id}__{rule.name}.csv").write_text(
+                write_columns_csv(trace.times, columns), encoding="utf-8"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +345,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _write_fleet_file(out_dir: Path, name: str, text: str) -> None:
-    try:
-        (out_dir / name).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write fleet to {out_dir}: {exc}") from None
-
-
 def _simulate_chunk(cfg, params, out_dir: Path, seeds: range) -> list[str]:
     """Simulate a run of seeds, write each episode's CSV into out_dir and
     return only the episodes' manifest rows."""
     rows = []
     for ep in simulate_fleet(cfg, params, len(seeds), seeds.start):
         name = f"trace_{ep.seed:06d}.csv"
-        _write_fleet_file(out_dir, name, write_trace_csv(ep.trace))
+        text = write_trace_csv(ep.trace)
+        with _writing(f"fleet to {out_dir}"):
+            (out_dir / name).write_text(text, encoding="utf-8")
         rows.append(f"{name},{ep.outcome},{ep.steps},"
                     f"{format_number(ep.goal[0])},{format_number(ep.goal[1])}")
     return rows
@@ -380,6 +380,8 @@ def _manifest_rows(job, seeds: range) -> list[str]:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise CliError("--n must be >= 1")
     if args.preset:
         cfg, pre, post = builtin_presets()
         policies = {"pre": pre, "post": post}
@@ -403,10 +405,8 @@ def _cmd_simulate(args) -> int:
         raise CliError(str(exc)) from None
 
     out_dir = Path(args.out)
-    try:
+    with _writing(f"fleet to {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot write fleet to {out_dir}: {exc}") from None
     rows = _manifest_rows(partial(_simulate_chunk, cfg, params, out_dir), seeds)
 
     manifest = [
@@ -423,7 +423,8 @@ def _cmd_simulate(args) -> int:
         "# episodes: file,outcome,steps,goal_x,goal_y",
         *rows,
     ]
-    _write_fleet_file(out_dir, "manifest.txt", "\n".join(manifest) + "\n")
+    with _writing(f"fleet to {out_dir}"):
+        (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(rows)} traces to {out_dir}\n")
     return 0
 
@@ -480,9 +481,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "simulate" and args.n < 1:
-        sys.stderr.write("error: --n must be >= 1\n")
-        return 2
     handlers = {
         "check": _cmd_check,
         "report": _cmd_report,

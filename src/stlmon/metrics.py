@@ -7,9 +7,9 @@ Per rule, a fleet of per-trace robustness values is summarized by:
   - satisfaction percentage: share of traces with robustness >= 0.
 
 Two fleets are compared with the two-sided Mann-Whitney U test on their
-robustness samples: exact null distribution (dynamic programming over
-rank assignments) for small tie-free samples, otherwise the normal
-approximation with tie and continuity corrections.
+robustness samples: exact null distribution (the coefficients of a
+Gaussian binomial, in exact integers) for small tie-free samples,
+otherwise the normal approximation with tie and continuity corrections.
 """
 
 from __future__ import annotations

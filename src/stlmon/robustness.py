@@ -11,12 +11,12 @@ that starts past the end degenerates to the final sample. Every operand
 and every comparison margin must be finite, or evaluation fails with
 `non-finite result at sample k`; so every robustness value is finite.
 
-One core evaluates everything. A `_Plan` compiles formulas once into a
-DAG of unique formula and expression nodes in evaluation order, so a
-subterm such as `abs(deriv(phi))` that occurs twice is computed once;
-each specification's plan is built on first use and kept. The plan runs
-over a `_Block`: traces of one `dt`, held as the rows of a 2-D
-(trace, sample) array padded to the longest row. Every node's series
+One core evaluates everything. A `_Plan` compiles formulas into a DAG
+of unique formula and expression nodes in evaluation order, so a subterm
+such as `abs(deriv(phi))` that occurs twice is computed once; every call
+builds its own plan, in microseconds. The plan runs over a `_Block`:
+traces of one `dt`, held as the rows of a 2-D (trace, sample) array
+padded to the longest row. Every node's series
 holds, past each row's last live sample, that row's value at `n-1`:
 signals are padded that way, pointwise operators keep it, `deriv`
 refills it, and the window kernels keep it because a clipped window
@@ -24,7 +24,7 @@ always contains `n-1`. So padding changes no live value, and a check
 over a whole row reads only live values. `robustness`, `boolean_monitor`,
 `robustness_profile` and `eval_expr` are the one-row case;
 `evaluate_specification` groups its traces into blocks by `dt` and
-length class.
+length class; the caller sizes its chunks of traces.
 
 G/F and `U` are computed in O(n) total per node: bounded G/F via
 `windowed_extremum`, unbounded G/F by one suffix sweep, and `U` by a
@@ -35,9 +35,10 @@ immutable, so many evaluations may run concurrently.
 Signals are resolved against the trace in one place, `traces.channel`,
 as evaluation reaches each atom; no operator short-circuits, so every
 atom is reached. Every evaluation error names its rule, reporting the
-first fault in evaluation order; when a block faults, its traces are
-evaluated again one row at a time, so the first faulty trace reports
-the same message as when it is evaluated alone.
+first fault in evaluation order. When `evaluate_specification` faults,
+its traces are evaluated again one row at a time, and the first faulty
+trace's error is raised as `trace '<id>': rule '<r>': ...`, the same
+message as when that trace is evaluated alone.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ from .traces import EvalError, SignalKind, Trace, channel
 # An interval bound must land on a sample index to within this tolerance
 # (in index units); anything else is rejected rather than silently rounded.
 INDEX_TOL = 1e-6
-
-# Live samples per (trace, sample) block, and per chunk of trace files that
-# the CLI evaluates with one call; a longer trace is a block of its own.
-BLOCK_SAMPLES = 1 << 13
 
 
 class Verdict(Enum):
@@ -268,8 +265,6 @@ class _Block:
 
     def signal(self, name: str, kind: SignalKind, dtype) -> np.ndarray:
         rows = [channel(t, name, kind).values for t in self.traces]
-        if len(rows) == 1:  # a view of the trace's read-only array
-            return np.asarray(rows[0], dtype)[None]
         out = np.empty((len(rows), self.width), dtype)
         for row, values in zip(out, rows):
             row[:len(values)] = values
@@ -476,40 +471,13 @@ class _Plan:
         return values
 
 
-_PLANS: dict[tuple[int, bool], tuple[object, _Plan]] = {}
-
-
-def _plan(source, formulas, holds: bool = False) -> _Plan:
-    """The plan of `formulas`, built once per `source` object (a spec or a
-    formula). The cache holds each source, so its id is not reused while
-    cached; it starts over when 64 plans are held."""
-    key = (id(source), holds)
-    hit = _PLANS.get(key)
-    if hit is None or hit[0] is not source:
-        if len(_PLANS) >= 64:
-            _PLANS.clear()
-        hit = _PLANS[key] = (source, _Plan(formulas, holds))
-    return hit[1]
-
-
 def _blocks(traces) -> list[list[int]]:
     """Trace indices grouped by dt and length class (`n.bit_length()`), so
-    padding at most doubles a block; each block holds at most
-    BLOCK_SAMPLES live samples, or one trace."""
+    padding at most doubles a block."""
     groups: dict[tuple[float, int], list[int]] = {}
     for i, trace in enumerate(traces):
         groups.setdefault((trace.dt, len(trace).bit_length()), []).append(i)
-    blocks = []
-    for rows in groups.values():
-        block, samples = [], 0
-        for i in rows:
-            if block and samples + len(traces[i]) > BLOCK_SAMPLES:
-                blocks.append(block)
-                block, samples = [], 0
-            block.append(i)
-            samples += len(traces[i])
-        blocks.append(block)
-    return blocks
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +485,7 @@ def _blocks(traces) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def _one_row(f: Formula, trace: Trace, rule_name: str, holds: bool = False):
-    plan = _plan(f, (f,), holds)
+    plan = _Plan((f,), holds)
     return plan, plan.run([trace], (rule_name,))
 
 
@@ -567,9 +535,9 @@ def evaluate_specification(spec: Specification, *traces: Trace) -> list[Robustne
     """Evaluate every rule of a specification against each trace.
 
     The results are flat in (trace, rule) order. On a fault, the first
-    faulty trace raises the error it raises when evaluated alone.
+    faulty trace raises its error prefixed with `trace '<id>': `.
     """
-    plan = _plan(spec, [rule.formula for rule in spec.rules])
+    plan = _Plan([rule.formula for rule in spec.rules])
     names = [rule.name for rule in spec.rules]
     rhos: list = [None] * len(traces)
     try:
@@ -580,6 +548,9 @@ def evaluate_specification(spec: Specification, *traces: Trace) -> list[Robustne
                 rhos[i] = row_rhos
     except EvalError:
         for trace in traces:  # one row at a time, in order, to the first fault
-            plan.run([trace], names)
+            try:
+                plan.run([trace], names)
+            except EvalError as exc:
+                raise EvalError(f"trace '{trace.id}': {exc}") from None
         raise
     return [_result(name, rho) for row_rhos in rhos for name, rho in zip(names, row_rhos)]

@@ -215,6 +215,9 @@ class TestSimulate:
         code = run(["simulate", "--preset", "--policy", "pre", "--n", "0",
                     "--out", str(tmp_path / "x")])
         assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --n must be >= 1\n")
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_simulation(self, tmp_path, capsys):
         from stlmon import builtin_presets
@@ -572,6 +575,85 @@ class TestProfileOut:
             f"error: trace '{trace_id}': id must be a plain file name for --profile-out\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestWriteErrors:
+    """An output that cannot be written exits 2 with one named error line."""
+
+    @staticmethod
+    def assert_one_error(capsys, err):
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_out_in_a_missing_directory(self, workspace, command, capsys):
+        out = workspace / "missing" / "x.json"
+        dirs = [str(workspace)] * (2 if command == "compare" else 1)
+        assert run([command, str(workspace / "rules.stl"), *dirs, "--out", str(out)]) == 2
+        self.assert_one_error(
+            capsys, f"cannot write {out}: [Errno 2] No such file or directory: '{out}'"
+        )
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_out_naming_a_directory(self, workspace, command, capsys):
+        out = workspace / "taken"
+        out.mkdir()
+        dirs = [str(workspace)] * (2 if command == "compare" else 1)
+        args = [command, str(workspace / "rules.stl"), *dirs, "--format", "table"]
+        assert run([*args, "--out", str(out)]) == 2
+        self.assert_one_error(capsys, f"cannot write {out}: [Errno 21] Is a directory: '{out}'")
+
+    def test_profile_out_naming_a_file(self, workspace, capsys):
+        out = workspace / "taken"
+        out.write_text("not a directory\n")
+        args = ["check", str(workspace / "rules.stl"), str(workspace / "ok.csv")]
+        assert run([*args, "--profile-out", str(out)]) == 2
+        self.assert_one_error(
+            capsys, f"cannot write profiles to {out}: [Errno 17] File exists: '{out}'"
+        )
+        assert out.read_text() == "not a directory\n"
+
+
+class TestEvaluationFaults:
+    SPEC = "signal x : real\nsignal y : real\nrule r: y > 0\n"
+
+    def test_profile_out_keeps_only_earlier_chunks(self, tmp_path, capsys):
+        (tmp_path / "r.stl").write_text(self.SPEC)
+        d = tmp_path / "d"
+        d.mkdir()
+        rows = "".join(f"{t},1,1\n" for t in range(BLOCK_SAMPLES))
+        (d / "a.csv").write_text("time,x,y\n" + rows)  # fills the first chunk
+        (d / "b.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")
+        (d / "c.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault: no y
+        prof = tmp_path / "prof"
+        args = ["check", str(tmp_path / "r.stl"), *sorted(map(str, d.iterdir()))]
+        assert run([*args, "--profile-out", str(prof)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'c': rule 'r': signal 'y' missing from trace 'c'\n"
+        # the chunk holding b and c faults as a whole: no profile of b is written
+        assert sorted(p.name for p in prof.iterdir()) == ["a__r.csv"]
+
+    def test_profile_out_of_one_faulty_chunk_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "r.stl").write_text(self.SPEC)
+        (tmp_path / "a.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")
+        (tmp_path / "b.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault: no y
+        prof = tmp_path / "prof"
+        args = ["check", str(tmp_path / "r.stl"), str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        assert run([*args, "--profile-out", str(prof)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'b': rule 'r': signal 'y' missing from trace 'b'\n"
+        assert not prof.exists()
+
+    def test_other_exceptions_are_not_usage_errors(self, workspace, monkeypatch):
+        def broken(spec, *traces):
+            raise RuntimeError("evaluator bug")
+
+        monkeypatch.setattr(stlmon.cli, "evaluate_specification", broken)
+        with pytest.raises(RuntimeError, match="evaluator bug"):
+            run(["check", str(workspace / "rules.stl"), str(workspace / "ok.csv")])
 
 
 class TestEntryPoints:

@@ -1,6 +1,7 @@
 """Engine semantics: spec'd examples, oracle equivalence, dualities,
 soundness against the boolean monitor, and the windowed-extremum kernel."""
 
+import json
 import random
 import time
 
@@ -299,6 +300,34 @@ class TestIntervalConversion:
         spec = parse_spec("signal ok : bool\nrule guard: G[0, inf] (ok)\n")
         with pytest.raises(EvalError, match="guard.*'ok' missing"):
             robustness(spec.rules[0].formula, trace, rule_name="guard")
+
+
+class TestSpecificationFaults:
+    """`evaluate_specification` names the first faulty trace in argument
+    order, and in it the first faulty rule in evaluation order."""
+
+    SPEC = parse_spec("signal x : real\nsignal y : real\n"
+                      "rule r1: G[0, inf] (y > 0)\nrule r2: x > 0\n")
+
+    def trace(self, trace_id, dt, **signals):
+        return load_trace_json(
+            json.dumps({"id": trace_id, "dt": dt, "signals": signals}), self.SPEC
+        )
+
+    def test_first_faulty_trace_over_mixed_dt(self):
+        traces = [
+            self.trace("t0", 1, x=[1, 2], y=[1, 2]),
+            self.trace("t1", 0.5, y=[1, 2]),  # r2 faults: no x
+            self.trace("t2", 1, x=[1, 2]),  # r1 faults, in the block evaluated first
+        ]
+        with pytest.raises(EvalError) as exc:
+            evaluate_specification(self.SPEC, *traces)
+        assert str(exc.value) == "trace 't1': rule 'r2': signal 'x' missing from trace 't1'"
+
+    def test_one_trace_carries_the_prefix(self):
+        with pytest.raises(EvalError) as exc:
+            evaluate_specification(self.SPEC, self.trace("t2", 1, x=[1, 2]))
+        assert str(exc.value) == "trace 't2': rule 'r1': signal 'y' missing from trace 't2'"
 
 
 class TestTruncation:
