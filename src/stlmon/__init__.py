@@ -44,12 +44,11 @@ from .formula import (
 from .metrics import (
     CompareReport,
     FleetReport,
-    MannWhitneyResult,
     compare_fleets,
     fleet_report,
     mann_whitney_u,
 )
-from .parser import ParseError, SourceSpan, Token, parse_spec, tokenize
+from .parser import ParseError, parse_spec, tokenize
 from .robustness import (
     RobustnessProfile,
     RobustnessResult,
@@ -57,13 +56,13 @@ from .robustness import (
     boolean_monitor,
     eval_expr,
     evaluate_specification,
+    profile_specification,
     robustness,
     robustness_profile,
     windowed_extremum,
 )
 from .sim import (
     ConfigError,
-    EpisodeRecord,
     GoalSampler,
     Obstacle,
     PolicyParams,

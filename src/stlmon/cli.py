@@ -28,7 +28,7 @@ from pathlib import Path
 from .formula import SignalKind, Specification, format_number
 from .metrics import CompareReport, FleetReport, compare_fleets, fleet_report
 from .parser import ParseError, parse_spec
-from .robustness import RobustnessResult, Verdict, evaluate_specification, robustness_profile
+from .robustness import Verdict, evaluate_specification, profile_specification
 from .sim import (
     ConfigError,
     builtin_presets,
@@ -120,43 +120,32 @@ def _decoded(spec: Specification, path: Path) -> Trace:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _chunk_results(spec: Specification, chunk: list[Trace]):
-    """Evaluate a chunk with one call; its error names the first faulty trace."""
-    try:
-        flat = evaluate_specification(spec, *chunk)
-    except EvalError as exc:
-        raise CliError(str(exc)) from None
-    k = len(spec.rules)
-    for i, trace in enumerate(chunk):
-        yield trace, flat[i * k:(i + 1) * k]
-
-
-def _evaluated(spec: Specification, paths) -> Iterator[tuple[Trace, list[RobustnessResult]]]:
-    """Read and decode trace files in path order and evaluate them a chunk
-    of about BLOCK_SAMPLES samples at a time, keeping only the results.
-
-    The fault reported is that of the first faulty file in path order:
-    the files before a read or decode fault are evaluated first."""
+def _chunks(spec: Specification, paths) -> Iterator[list[Trace]]:
+    """Read and decode trace files in path order, in chunks of about
+    BLOCK_SAMPLES samples to evaluate with one call each. A read or decode
+    fault is raised after the chunk of the files before it, so the first
+    faulty file in path order is the one reported."""
     chunk: list[Trace] = []
     samples = 0
     for path in map(Path, paths):
         try:
             trace = _decoded(spec, path)
         except CliError:
-            yield from _chunk_results(spec, chunk)
+            if chunk:
+                yield chunk
             raise
         if chunk and samples + len(trace) > BLOCK_SAMPLES:
-            yield from _chunk_results(spec, chunk)
+            yield chunk
             chunk, samples = [], 0
         chunk.append(trace)
         samples += len(trace)
-    yield from _chunk_results(spec, chunk)
+    yield chunk
 
 
 def _fleet_reports(spec: Specification, paths: list[Path]) -> list[FleetReport]:
     per_rule: dict[str, list] = {rule.name: [] for rule in spec.rules}
-    for _, results in _evaluated(spec, paths):
-        for result in results:
+    for chunk in _chunks(spec, paths):
+        for result in evaluate_specification(spec, *chunk):
             per_rule[result.rule_name].append(result)
     return [fleet_report(name, results) for name, results in per_rule.items()]
 
@@ -186,12 +175,14 @@ def _display_pct(value: float) -> str:
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
+    evaluate = profile_specification if args.profile_out else evaluate_specification
     rows = []
     profiled: set[str] = set()
-    for trace, results in _evaluated(spec, args.traces):
-        rows.extend((trace.id, result) for result in results)
+    for chunk in _chunks(spec, args.traces):
+        results = evaluate(spec, *chunk)
+        rows.extend(zip([trace.id for trace in chunk for _ in spec.rules], results))
         if args.profile_out:
-            _write_profiles(args.profile_out, spec, trace, profiled)
+            _write_profiles(args.profile_out, chunk, results, profiled)
 
     if args.format == "json":
         payload = [
@@ -216,21 +207,23 @@ def _cmd_check(args) -> int:
     return 1 if violated else 0
 
 
-def _write_profiles(out_dir: str, spec: Specification, trace: Trace, written: set[str]) -> None:
-    if any(c in trace.id for c in "/\\\0"):
-        raise CliError(f"trace '{trace.id}': id must be a plain file name for --profile-out")
-    if trace.id in written:
-        raise CliError(f"trace '{trace.id}': duplicate id for --profile-out")
-    written.add(trace.id)
+def _write_profiles(out_dir: str, chunk: list[Trace], profiles, written: set[str]) -> None:
+    """Write each trace's profiles, flat in (trace, rule) order, trace by trace."""
+    k = len(profiles) // len(chunk)
     root = Path(out_dir)
-    with _writing(f"profiles to {out_dir}"):
-        root.mkdir(parents=True, exist_ok=True)
-        for rule in spec.rules:
-            profile = robustness_profile(rule.formula, trace, rule.name)
-            columns = {p: Series(SignalKind.REAL, s) for p, s in sorted(profile.series.items())}
-            (root / f"{trace.id}__{rule.name}.csv").write_text(
-                write_columns_csv(trace.times, columns), encoding="utf-8"
-            )
+    for i, trace in enumerate(chunk):
+        if any(c in trace.id for c in "/\\\0"):
+            raise CliError(f"trace '{trace.id}': id must be a plain file name for --profile-out")
+        if trace.id in written:
+            raise CliError(f"trace '{trace.id}': duplicate id for --profile-out")
+        written.add(trace.id)
+        with _writing(f"profiles to {out_dir}"):
+            root.mkdir(parents=True, exist_ok=True)
+            for profile in profiles[i * k:(i + 1) * k]:
+                columns = {p: Series(SignalKind.REAL, s) for p, s in sorted(profile.series.items())}
+                (root / f"{trace.id}__{profile.rule_name}.csv").write_text(
+                    write_columns_csv(trace.times, columns), encoding="utf-8"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +400,8 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     with _writing(f"fleet to {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
+        if next(out_dir.iterdir(), None) is not None:  # an earlier fleet would mix into this one
+            raise OSError("directory is not empty")
     rows = _manifest_rows(partial(_simulate_chunk, cfg, params, out_dir), seeds)
 
     manifest = [
@@ -489,7 +484,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CliError as exc:
+    except (CliError, EvalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

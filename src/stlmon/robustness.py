@@ -21,10 +21,13 @@ holds, past each row's last live sample, that row's value at `n-1`:
 signals are padded that way, pointwise operators keep it, `deriv`
 refills it, and the window kernels keep it because a clipped window
 always contains `n-1`. So padding changes no live value, and a check
-over a whole row reads only live values. `robustness`, `boolean_monitor`,
-`robustness_profile` and `eval_expr` are the one-row case;
-`evaluate_specification` groups its traces into blocks by `dt` and
-length class; the caller sizes its chunks of traces.
+over a whole row reads only live values. `_read` runs a plan over blocks
+of traces grouped by `dt` and length class, and hands each (trace, rule)
+row to a reader: `_rho` reads the root at sample 0, `_profile` also the
+live samples of every node. `evaluate_specification` and
+`profile_specification` read a spec's rules over traces in chunks the
+caller sizes; `robustness`, `robustness_profile` and `boolean_monitor`
+are the one-row case, and `eval_expr` reads one expression's row.
 
 G/F and `U` are computed in O(n) total per node: bounded G/F via
 `windowed_extremum`, unbounded G/F by one suffix sweep, and `U` by a
@@ -35,8 +38,8 @@ immutable, so many evaluations may run concurrently.
 Signals are resolved against the trace in one place, `traces.channel`,
 as evaluation reaches each atom; no operator short-circuits, so every
 atom is reached. Every evaluation error names its rule, reporting the
-first fault in evaluation order. When `evaluate_specification` faults,
-its traces are evaluated again one row at a time, and the first faulty
+first fault in evaluation order. When a spec's evaluation faults, its
+traces are evaluated again one row at a time, and the first faulty
 trace's error is raised as `trace '<id>': rule '<r>': ...`, the same
 message as when that trace is evaluated alone.
 """
@@ -106,12 +109,14 @@ class RobustnessResult:
 
 
 @dataclass(frozen=True, eq=False)
-class RobustnessProfile:
-    """Per-node robustness series keyed by path from the root formula.
+class RobustnessProfile(RobustnessResult):
+    """A rule's result with its per-node robustness series, keyed by path
+    from the root formula.
 
     The root is "root"; children append ".child", ".lhs" or ".rhs". The
-    root series at index 0 is the published per-trace robustness. Paths
-    to equal subformulas share one read-only array.
+    root series at index 0 is the published `rho`. Paths to equal
+    subformulas share one read-only array. A profile compares and hashes
+    as its published result.
     """
 
     series: dict[str, np.ndarray]
@@ -388,7 +393,6 @@ class _Plan:
             self._formula_index = k
             self.paths.append({})
             self._formula(f, "root")
-        self.roots = [paths["root"] for paths in self.paths]
 
     def _add(self, kernel, args=(), param=None, key=None) -> int:
         node = (kernel, args, param if key is None else key)
@@ -484,14 +488,46 @@ def _blocks(traces) -> list[list[int]]:
 # Read-outs
 # ---------------------------------------------------------------------------
 
-def _one_row(f: Formula, trace: Trace, rule_name: str, holds: bool = False):
-    plan = _Plan((f,), holds)
-    return plan, plan.run([trace], (rule_name,))
+def _read(plan: _Plan, names, traces, read) -> list:
+    """`read(name, paths, values, row, n)` of every (trace, rule) pair, flat
+    in (trace, rule) order, running the plan a `_blocks` group at a time."""
+    rows: list = [None] * len(traces)
+    for group in _blocks(traces):
+        values = plan.run([traces[i] for i in group], names)
+        for r, i in enumerate(group):
+            n = len(traces[i])
+            rows[i] = [read(name, paths, values, r, n) for name, paths in zip(names, plan.paths)]
+    return [out for row in rows for out in row]
 
 
-def _result(rule_name: str, rho: float) -> RobustnessResult:
-    rho += 0.0  # publish -0.0 as 0.0
-    return RobustnessResult(rule_name, rho, Verdict.from_rho(rho))
+def _rho(name: str, paths, values, r: int, n: int) -> RobustnessResult:
+    """The published result: the root at sample 0."""
+    rho = float(values[paths["root"]][r, 0]) + 0.0  # publish -0.0 as 0.0
+    return RobustnessResult(name, rho, Verdict.from_rho(rho))
+
+
+def _profile(name: str, paths, values, r: int, n: int) -> RobustnessProfile:
+    """The published result and the n live samples of every node."""
+    rows = {step: values[step][r, :n] for step in paths.values()}
+    for row in rows.values():
+        row.flags.writeable = False
+    series = {path: rows[step] for path, step in paths.items()}
+    return RobustnessProfile(**vars(_rho(name, paths, values, r, n)), series=series)
+
+
+def _specification(spec: Specification, traces, read) -> list:
+    """`_read` of every rule of the spec, naming the first faulty trace."""
+    plan = _Plan([rule.formula for rule in spec.rules])
+    names = [rule.name for rule in spec.rules]
+    try:
+        return _read(plan, names, traces, read)
+    except EvalError:
+        for trace in traces:  # one row at a time, in order, to the first fault
+            try:
+                plan.run([trace], names)
+            except EvalError as exc:
+                raise EvalError(f"trace '{trace.id}': {exc}") from None
+        raise
 
 
 def eval_expr(expr: SignalExpr, trace: Trace) -> np.ndarray:
@@ -508,17 +544,12 @@ def eval_expr(expr: SignalExpr, trace: Trace) -> np.ndarray:
 
 def robustness(f: Formula, trace: Trace, rule_name: str = "rule") -> RobustnessResult:
     """Robustness of the formula at t=0, with the sign-based verdict."""
-    plan, values = _one_row(f, trace, rule_name)
-    return _result(rule_name, float(values[plan.roots[0]][0, 0]))
+    return _read(_Plan((f,)), (rule_name,), [trace], _rho)[0]
 
 
 def robustness_profile(f: Formula, trace: Trace, rule_name: str = "rule") -> RobustnessProfile:
     """Like `robustness` but retains every node's full robustness series."""
-    plan, values = _one_row(f, trace, rule_name)
-    rows = {step: values[step][0] for step in plan.paths[0].values()}
-    for row in rows.values():
-        row.flags.writeable = False
-    return RobustnessProfile({path: rows[step] for path, step in plan.paths[0].items()})
+    return _read(_Plan((f,)), (rule_name,), [trace], _profile)[0]
 
 
 def boolean_monitor(f: Formula, trace: Trace, rule_name: str = "rule") -> bool:
@@ -527,8 +558,7 @@ def boolean_monitor(f: Formula, trace: Trace, rule_name: str = "rule") -> bool:
     Atoms test the sign of their margin, strictly for `<`/`>`, so strict
     vs non-strict bounds are respected even where the margin is zero.
     """
-    plan, values = _one_row(f, trace, rule_name, holds=True)
-    return bool(values[plan.roots[0]][0, 0] > 0)
+    return _read(_Plan((f,), holds=True), (rule_name,), [trace], _rho)[0].rho > 0
 
 
 def evaluate_specification(spec: Specification, *traces: Trace) -> list[RobustnessResult]:
@@ -537,20 +567,10 @@ def evaluate_specification(spec: Specification, *traces: Trace) -> list[Robustne
     The results are flat in (trace, rule) order. On a fault, the first
     faulty trace raises its error prefixed with `trace '<id>': `.
     """
-    plan = _Plan([rule.formula for rule in spec.rules])
-    names = [rule.name for rule in spec.rules]
-    rhos: list = [None] * len(traces)
-    try:
-        for rows in _blocks(traces):
-            values = plan.run([traces[i] for i in rows], names)
-            firsts = [values[root][:, 0].tolist() for root in plan.roots]
-            for i, row_rhos in zip(rows, zip(*firsts)):
-                rhos[i] = row_rhos
-    except EvalError:
-        for trace in traces:  # one row at a time, in order, to the first fault
-            try:
-                plan.run([trace], names)
-            except EvalError as exc:
-                raise EvalError(f"trace '{trace.id}': {exc}") from None
-        raise
-    return [_result(name, rho) for row_rhos in rhos for name, rho in zip(names, row_rhos)]
+    return _specification(spec, traces, _rho)
+
+
+def profile_specification(spec: Specification, *traces: Trace) -> list[RobustnessProfile]:
+    """Like `evaluate_specification`, but each result is the rule's
+    `RobustnessProfile`: every node's series over the trace's samples."""
+    return _specification(spec, traces, _profile)

@@ -273,8 +273,15 @@ class TestSimulate:
         import multiprocessing
 
         monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: cpus)
+        write_text = Path.write_text
+
+        def failing(path, *args, **kwargs):  # forked workers inherit the patch
+            if path.name == "trace_000020.csv":
+                raise IsADirectoryError(21, "Is a directory", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
         out = tmp_path / "fleet"
-        (out / "trace_000020.csv").mkdir(parents=True)  # a directory where a trace goes
         code = run(["simulate", "--preset", "--policy", "post", "--n", "40",
                     "--seed", "7", "--out", str(out)])
         assert code == 2
@@ -285,6 +292,22 @@ class TestSimulate:
         assert captured.err.count("\n") == 1  # one line: no traceback from any process
         assert multiprocessing.active_children() == []
         assert not (out / "manifest.txt").exists()
+
+    def test_non_empty_out_exits_two_before_any_episode(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "fleet"
+        out.mkdir()  # an existing empty directory is allowed
+        args = ["simulate", "--preset", "--policy", "pre", "--out", str(out)]
+        assert run([*args, "--n", "3", "--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        ran = []
+        monkeypatch.setattr(stlmon.cli, "simulate_fleet", lambda *a: ran.append(a) or [])
+        assert run([*args, "--n", "1", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write fleet to {out}: directory is not empty\n"
+        assert ran == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_unplaceable_goal_exits_two_and_creates_no_out(self, tmp_path, capsys):
         from stlmon.sim import format_config
@@ -399,32 +422,47 @@ class TestOneFileAtATime:
 
     @staticmethod
     def log_calls(monkeypatch):
-        """Log each trace load and each evaluation call, with its traces."""
+        """Log each trace load, each evaluation call with its traces, and
+        each one-trace profile call."""
         log = []
-        load, evaluate = stlmon.cli.load_trace_csv, stlmon.cli.evaluate_specification
+        load = stlmon.cli.load_trace_csv
 
         def logged_load(data, spec, trace_id):
             log.append(("load", trace_id))
             return load(data, spec, trace_id=trace_id)
 
-        def logged_evaluate(spec, *traces):
-            log.append(("evaluate", tuple(t.id for t in traces), sum(map(len, traces))))
-            return evaluate(spec, *traces)
+        def logged(evaluate):
+            def call(spec, *traces):
+                log.append(("evaluate", tuple(t.id for t in traces), sum(map(len, traces))))
+                return evaluate(spec, *traces)
+            return call
 
         monkeypatch.setattr(stlmon.cli, "load_trace_csv", logged_load)
-        monkeypatch.setattr(stlmon.cli, "evaluate_specification", logged_evaluate)
+        for name in ("evaluate_specification", "profile_specification"):
+            monkeypatch.setattr(stlmon.cli, name, logged(getattr(stlmon.cli, name)))
+        evaluator = importlib.import_module("stlmon.robustness")
+        one_row = evaluator.robustness_profile
+
+        def logged_profile(*args, **kwargs):
+            log.append(("robustness_profile",))
+            return one_row(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "robustness_profile", logged_profile)
+        monkeypatch.setattr(stlmon.cli, "robustness_profile", logged_profile, raising=False)
         return log
 
-    @pytest.mark.parametrize("command", ["check", "report", "compare"])
+    @pytest.mark.parametrize("command", ["check", "check --profile-out", "report", "compare"])
     def test_each_chunk_is_evaluated_with_one_call(self, workspace, tmp_path, monkeypatch, command):
         fleet = fill_dir(tmp_path / "fleet", [1.0, 2.0, 3.0])
         log = self.log_calls(monkeypatch)
         targets = {
             "check": sorted(map(str, fleet.iterdir())),
+            "check --profile-out": [*sorted(map(str, fleet.iterdir())),
+                                    "--profile-out", str(tmp_path / "prof")],
             "report": [str(fleet)],
             "compare": [str(fleet), str(fleet)],
         }
-        assert run([command, str(workspace / "rules.stl"), *targets[command]]) == 0
+        assert run([command.split()[0], str(workspace / "rules.stl"), *targets[command]]) == 0
         one_pass = [("load", "t000"), ("load", "t001"), ("load", "t002"),
                     ("evaluate", ("t000", "t001", "t002"), 6)]
         assert log == one_pass * (2 if command == "compare" else 1)
@@ -575,6 +613,35 @@ class TestProfileOut:
             f"error: trace '{trace_id}': id must be a plain file name for --profile-out\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_chunk_profiles_match_one_trace_profiles(self, tmp_path):
+        from stlmon import Series, SignalKind, load_trace_csv, parse_spec, robustness_profile
+        from stlmon.traces import write_columns_csv
+
+        text = (
+            "signal x : real\nsignal y : real\n"
+            "rule a: (G[0, 2] (abs(deriv(x)) < 3)) && (F[0, 1] (abs(deriv(x)) < 3))\n"
+            "rule b: (y > 0) U[1, inf] (abs(deriv(x)) >= 3)\n"
+        )
+        (tmp_path / "r.stl").write_text(text)
+        d = tmp_path / "d"
+        d.mkdir()
+        # one chunk of ragged traces: lengths 4, 5 and 7 share a block, 2 has its own
+        for name, n in (("p", 4), ("q", 7), ("s", 2), ("t", 5)):
+            rows = "".join(f"{i},{(i * i) % 5 - 1},{2 - i}\n" for i in range(n))
+            (d / f"{name}.csv").write_text("time,x,y\n" + rows)
+        prof = tmp_path / "prof"
+        paths = sorted(d.iterdir())
+        assert run(["check", str(tmp_path / "r.stl"), *map(str, paths), "--profile-out", str(prof)]) == 1
+        spec = parse_spec(text)
+        expected = {}
+        for path in paths:
+            trace = load_trace_csv(path.read_bytes(), spec, trace_id=path.stem)
+            for rule in spec.rules:
+                profile = robustness_profile(rule.formula, trace, rule.name)
+                columns = {p: Series(SignalKind.REAL, s) for p, s in sorted(profile.series.items())}
+                expected[f"{trace.id}__{rule.name}.csv"] = write_columns_csv(trace.times, columns)
+        assert {p.name: p.read_text() for p in prof.iterdir()} == expected
 
 
 class TestWriteErrors:

@@ -35,6 +35,7 @@ from stlmon import (
     load_trace_csv,
     load_trace_json,
     parse_spec,
+    profile_specification,
     robustness,
     robustness_profile,
     windowed_extremum,
@@ -537,13 +538,14 @@ def canonical(values):
 class TestBlockOracle:
     """The block core against the reference evaluator: traces of mixed
     lengths and dt share blocks, and every live sample of every node must
-    equal the direct definition exactly."""
+    equal the direct definition exactly, in every read-out."""
 
     @staticmethod
     def check_blocks(formulas, traces):
         spec = Specification(PALETTE, tuple(Rule(f"r{k}", f) for k, f in enumerate(formulas)))
         results = evaluate_specification(spec, *traces)
-        assert len(results) == len(traces) * len(formulas)
+        profiles = profile_specification(spec, *traces)
+        assert len(results) == len(profiles) == len(traces) * len(formulas)
         for i, trace in enumerate(traces):
             for f, result in zip(formulas, results[i * len(formulas):]):
                 assert repr(result.rho) == repr(naive_rho(f, trace) + 0.0)
@@ -555,21 +557,31 @@ class TestBlockOracle:
             assert len({t.dt for t in block}) == 1
             assert max(map(len, block)) < 2 * min(map(len, block))
             values, verdicts = quantitative.run(block), holds.run(block)
-            for r, trace in enumerate(block):
+            for r, (i, trace) in enumerate(zip(rows, block)):
                 n = len(trace)
                 for k, f in enumerate(formulas):
                     verdict = naive_bool(f, trace)
-                    assert bool(verdicts[holds.roots[k]][r, 0] > 0) == verdict
+                    assert bool(verdicts[holds.paths[k]["root"]][r, 0] > 0) == verdict
                     assert boolean_monitor(f, trace) == verdict
                     assert repr(robustness(f, trace).rho) == repr(naive_rho(f, trace) + 0.0)
                     profile = robustness_profile(f, trace).series
+                    result = results[i * len(formulas) + k]
+                    chunk_profile = profiles[i * len(formulas) + k]
+                    assert (chunk_profile.rule_name, repr(chunk_profile.rho), chunk_profile.verdict) == (
+                        result.rule_name, repr(result.rho), result.verdict
+                    )
                     nodes = dict(subformulas(f))
-                    assert set(profile) == set(nodes) == set(quantitative.paths[k])
-                    memo = {}
+                    assert set(profile) == set(chunk_profile.series) == set(nodes) == set(quantitative.paths[k])
+                    memo, shared = {}, {}
                     for path, step in quantitative.paths[k].items():
                         want = canonical([naive_rho(nodes[path], trace, t, memo) for t in range(n)])
                         assert canonical(values[step][r, :n].tolist()) == want, path
                         assert canonical(profile[path].tolist()) == want, path
+                        # live length, read-only, one array per node
+                        series = chunk_profile.series[path]
+                        assert canonical(series.tolist()) == want, path
+                        assert not series.flags.writeable
+                        assert shared.setdefault(step, series) is series, path
 
     def test_random_formulas_over_mixed_blocks(self):
         rng = random.Random(41)
@@ -607,16 +619,16 @@ class TestBlockOracle:
         ]
         assert formulas[0] == formulas[1]
         plan = _Plan(formulas)
-        assert plan.roots[0] != plan.roots[1]
+        assert plan.paths[0]["root"] != plan.paths[1]["root"]
         rng = random.Random(43)
         traces = [random_trace(rng, max_len=30) for _ in range(6)]
         for rows in _blocks(traces):
             block = [traces[i] for i in rows]
             values = plan.run(block)
             for r, trace in enumerate(block):
-                for f, root in zip(formulas, plan.roots):
+                for f, paths in zip(formulas, plan.paths):
                     want = [naive_rho(f, trace, t) for t in range(len(trace))]
-                    assert list(map(repr, values[root][r, :len(trace)].tolist())) == list(map(repr, want))
+                    assert list(map(repr, values[paths["root"]][r, :len(trace)].tolist())) == list(map(repr, want))
         self.check_blocks(formulas, traces)
 
     def test_shared_subterms_are_evaluated_once(self):
