@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Union
 
@@ -304,10 +305,19 @@ def _format_cells(series: Series) -> list[str]:
 
 def write_columns_csv(times: np.ndarray, channels: dict[str, Series]) -> str:
     """CSV text with header `time,<name>...`; reals use shortest round-trip decimals."""
-    columns = [_format_cells(Series(SignalKind.REAL, times))]
-    columns += map(_format_cells, channels.values())
-    lines = [",".join(["time", *channels]), *map(",".join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+    return columns_csv_writer(times)(channels)
+
+
+def columns_csv_writer(times: np.ndarray) -> Callable[[dict[str, Series]], str]:
+    """`write_columns_csv` on one time column, formatted once for every call."""
+    time_cells = _format_cells(Series(SignalKind.REAL, times))
+
+    def write(channels: dict[str, Series]) -> str:
+        columns = [time_cells, *map(_format_cells, channels.values())]
+        lines = [",".join(["time", *channels]), *map(",".join, zip(*columns))]
+        return "\n".join(lines) + "\n"
+
+    return write
 
 
 def write_trace_csv(trace: Trace) -> str:

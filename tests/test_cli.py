@@ -44,6 +44,20 @@ def fill_dir(path, rhos):
     return path
 
 
+def fault_on_each_cpu_count(monkeypatch, capsys, argv) -> str:
+    """Run `argv` as if on 1, 2 and 3 CPUs. Each run must exit 2 with no
+    output and the same one error; that error is returned."""
+    errors = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda n=cpus: n)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[1:] == errors[:1] * 2, errors
+    return errors[0]
+
+
 class TestCheck:
     def test_compliant_trace_exits_zero(self, workspace, capsys):
         code = run(["check", str(workspace / "rules.stl"), str(workspace / "ok.csv")])
@@ -402,17 +416,19 @@ class TestOneFileAtATime:
         return tmp_path
 
     @pytest.mark.parametrize("command", ["check", "report", "compare"])
-    def test_first_faulty_file_in_path_order_is_reported(self, faulty_dir, command, capsys):
+    def test_first_faulty_file_in_path_order_is_reported(
+        self, faulty_dir, command, monkeypatch, capsys
+    ):
         d = faulty_dir / "d"
         targets = {
             "check": [str(d / "a.csv"), str(d / "b.csv")],
             "report": [str(d)],
             "compare": [str(d), str(d)],
         }
-        assert run([command, str(faulty_dir / "r.stl"), *targets[command]]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: trace 'a': rule 'r': signal 'y' missing from trace 'a'\n"
+        argv = [command, str(faulty_dir / "r.stl"), *targets[command]]
+        assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
+            "error: trace 'a': rule 'r': signal 'y' missing from trace 'a'\n"
+        )
 
     def test_compare_lists_both_directories_before_reading_a_file(self, faulty_dir, capsys):
         missing = faulty_dir / "missing"
@@ -423,7 +439,9 @@ class TestOneFileAtATime:
     @staticmethod
     def log_calls(monkeypatch):
         """Log each trace load, each evaluation call with its traces, and
-        each one-trace profile call."""
+        each one-trace profile call, all made in this process: on one CPU,
+        `report` and `compare` start no worker whose calls would be lost."""
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: 1)
         log = []
         load = stlmon.cli.load_trace_csv
 
@@ -496,6 +514,36 @@ class TestOneFileAtATime:
         ]
 
 
+class TestFleetOutputs:
+    """`report` and `compare` split their files over worker processes; what
+    they print must not depend on how many there are."""
+
+    @pytest.fixture(scope="class")
+    def fleets(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fleets")
+        for policy in ("pre", "post"):
+            assert run(["simulate", "--preset", "--policy", policy, "--n", "40",
+                        "--seed", "7", "--out", str(root / policy)]) == 0
+        return root
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, fleets, fmt, monkeypatch, capsys):
+        capsys.readouterr()
+        commands = [["report", str(fleets / "pre")], ["report", str(fleets / "post")],
+                    ["compare", str(fleets / "pre"), str(fleets / "post")]]
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda n=cpus: n)
+            for command, *dirs in commands:
+                assert run([command, "builtin:turtlebot", *dirs, "--format", fmt]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                outputs.append(captured.out)
+        one_cpu = outputs[:3]
+        assert ('"n": 40' if fmt == "json" else "(n=40)") in one_cpu[0]
+        assert outputs == one_cpu * 3
+
+
 class TestChunkFaultOrder:
     """Chunking keeps the reported fault that of the first faulty file in
     path order, and within it the first faulty rule in evaluation order,
@@ -515,20 +563,24 @@ class TestChunkFaultOrder:
         }[command]
 
     @pytest.mark.parametrize("command", ["check", "report", "compare"])
-    def test_evaluation_fault_before_a_decode_fault_in_one_chunk(self, tmp_path, command, capsys):
+    def test_evaluation_fault_before_a_decode_fault_in_one_chunk(
+        self, tmp_path, command, monkeypatch, capsys
+    ):
         d = tmp_path / "d"
         d.mkdir()
         for name in ("f1", "f3", "f4"):
             (d / f"{name}.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")
         (d / "f2.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault: no y
         (d / "f5.csv").write_text("time,x,y\n0,1,1\n")  # decode fault: one row
-        assert run([command, self.spec(tmp_path), *self.targets(command, d)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: trace 'f2': rule 'r': signal 'y' missing from trace 'f2'\n"
+        argv = [command, self.spec(tmp_path), *self.targets(command, d)]
+        assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
+            "error: trace 'f2': rule 'r': signal 'y' missing from trace 'f2'\n"
+        )
 
     @pytest.mark.parametrize("command", ["check", "report", "compare"])
-    def test_earlier_path_then_earliest_rule_in_one_block(self, tmp_path, command, capsys):
+    def test_earlier_path_then_earliest_rule_in_one_block(
+        self, tmp_path, command, monkeypatch, capsys
+    ):
         spec = self.spec(
             tmp_path,
             "signal x : real\nsignal y : real\nsignal z : real\n"
@@ -538,18 +590,19 @@ class TestChunkFaultOrder:
         d.mkdir()
         (d / "a.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")  # r2 faults: no z
         (d / "b.csv").write_text("time,x\n0,1\n1,2\n")  # r1 and r2 fault
-        assert run([command, spec, *self.targets(command, d)]) == 2
-        assert capsys.readouterr().err == (
+        argv = [command, spec, *self.targets(command, d)]
+        assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
             "error: trace 'a': rule 'r2': signal 'z' missing from trace 'a'\n"
         )
         (d / "a.csv").write_text("time,x\n0,1\n1,2\n")  # now r1 faults first
-        assert run([command, spec, *self.targets(command, d)]) == 2
-        assert capsys.readouterr().err == (
+        assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
             "error: trace 'a': rule 'r1': signal 'y' missing from trace 'a'\n"
         )
 
     @pytest.mark.parametrize("command", ["check", "report", "compare"])
-    def test_fault_in_the_first_file_after_a_chunk_boundary(self, tmp_path, command, capsys):
+    def test_fault_in_the_first_file_after_a_chunk_boundary(
+        self, tmp_path, command, monkeypatch, capsys
+    ):
         d = tmp_path / "d"
         d.mkdir()
         n = BLOCK_SAMPLES // 4
@@ -559,12 +612,12 @@ class TestChunkFaultOrder:
         (d / "f4.csv").write_text("time,x,y\n0,1,1\n1,2,0\n2,3,-1\n")  # rho -1: no fault
         (d / "f5.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault
         (d / "f6.csv").write_text("time,x,y\n0,1\n")  # decode fault
-        assert run([command, self.spec(tmp_path), *self.targets(command, d)]) == 2
-        assert capsys.readouterr().err == (
+        argv = [command, self.spec(tmp_path), *self.targets(command, d)]
+        assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
             "error: trace 'f5': rule 'r': signal 'y' missing from trace 'f5'\n"
         )
 
-    def test_unaligned_interval_under_mixed_dt(self, tmp_path, capsys):
+    def test_unaligned_interval_under_mixed_dt(self, tmp_path, monkeypatch, capsys):
         spec = self.spec(tmp_path, "signal x : real\nrule al: G[0, 0.25] (x > 0)\n")
         d = tmp_path / "d"
         d.mkdir()
@@ -573,8 +626,8 @@ class TestChunkFaultOrder:
                 {"id": name, "dt": dt, "signals": {"x": [1, 2, 3]}}
             ))
         for command in ("check", "report", "compare"):
-            assert run([command, spec, *self.targets(command, d)]) == 2
-            assert capsys.readouterr().err == (
+            argv = [command, spec, *self.targets(command, d)]
+            assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
                 "error: trace 'b': rule 'al': interval bound 0.25 is not a whole number "
                 "of samples at dt=0.1\n"
             )
@@ -722,6 +775,18 @@ class TestEvaluationFaults:
         with pytest.raises(RuntimeError, match="evaluator bug"):
             run(["check", str(workspace / "rules.stl"), str(workspace / "ok.csv")])
 
+    def test_other_exceptions_in_a_worker_are_not_usage_errors(self, workspace, monkeypatch):
+        import multiprocessing
+
+        def broken(spec, *traces):  # forked workers inherit the patch
+            raise RuntimeError("evaluator bug")
+
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(stlmon.cli, "evaluate_specification", broken)
+        with pytest.raises(RuntimeError, match="evaluator bug"):
+            run(["report", str(workspace / "rules.stl"), str(workspace)])
+        assert multiprocessing.active_children() == []
+
 
 class TestEntryPoints:
     @pytest.mark.parametrize("trace", ["ok.csv", "bad.csv"])
@@ -751,6 +816,37 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+    def test_one_cpu_scores_fleets_in_process(self, workspace):
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        spec, d = str(workspace / "rules.stl"), str(workspace)
+        for cpus, forked in ((1, False), (2, True)):
+            code = (
+                "import sys, stlmon.cli\n"
+                f"stlmon.cli._cpu_count = lambda: {cpus}\n"
+                f"codes = [stlmon.cli.run(['report', {spec!r}, {d!r}]),\n"
+                f"         stlmon.cli.run(['compare', {spec!r}, {d!r}, {d!r}])]\n"
+                "print(codes, 'multiprocessing' in sys.modules)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert proc.stdout.splitlines()[-1] == f"[0, 0] {forked}", proc.stderr
+
+    def test_forking_workers_raises_no_deprecation_warning(self, workspace):
+        """From Python 3.12, forking a process with threads (numpy's BLAS
+        pool) warns; the pool start ignores that one warning."""
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        code = (
+            "import sys, stlmon.cli\n"
+            "stlmon.cli._cpu_count = lambda: 2\n"
+            f"sys.exit(stlmon.cli.run(['report', {str(workspace / 'rules.stl')!r}, "
+            f"{str(workspace)!r}, '--format', 'table']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("Rule: speed_limit (n=2)\n")
 
 
 class TestCheckOutputContract:
