@@ -6,11 +6,14 @@ A trace is a uniformly sampled record of named channels over one episode.
 Loaders validate shape and typing eagerly so the engine can assume clean
 data; loaded arrays are frozen (read-only) and safe to share.
 
-The CSV codec works a whole column at a time: the loader transposes the
-rows and decodes each column in one pass, and the writer formats each
-column from one `tolist()`. Faults are named by row: when a column fails
-to decode, `_raise_first_fault` walks the rows in order and raises the
-first bad row or cell with its row and column. That walk builds no trace.
+Both codecs work a whole column at a time. The CSV loader transposes the
+rows, the JSON loader takes each signal's array, and both decode each
+column in one pass through `_decode_column`; the writer formats each
+column from one `tolist()`. Each loader has one fault walk: when a column
+fails to decode, the walk visits the values in order and raises the first
+bad one with its row (`_raise_first_fault` for CSV, in row-major order
+and with the column; `_check_value` over the failed signal for JSON).
+A walk builds no trace.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ class Trace:
 
 
 _BOOL_CELLS = {"true": True, "1": True, "false": False, "0": False}
+# JSON true/false, or any number equal to 0 or 1 (0.0, -0.0, 1.0): numbers
+# that compare equal hash equal, across bool, int and float.
+_BOOL_VALUES = {0: False, 1: True}
 
 
 def _decode(data: Union[bytes, str]) -> str:
@@ -120,30 +126,34 @@ def _check_cell(cell: str, decl, row: int, column: int) -> None:
         raise TraceError(f"undeclared variant {cell!r}", row=row, column=column)
 
 
-def _make_series(decl, column_values) -> Series:
-    if decl.kind is SignalKind.REAL:
-        return Series(decl.kind, np.asarray(column_values, dtype=np.float64))
-    if decl.kind is SignalKind.BOOL:
-        return Series(decl.kind, np.asarray(column_values, dtype=np.bool_))
-    return Series(decl.kind, np.asarray(column_values, dtype=np.int64), decl.enum_variants)
-
-
-def _finite_reals(cells) -> np.ndarray:
-    values = np.array(list(map(float, cells)))
+def _finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
     return values
 
 
-def _decode_column(decl, cells) -> Series:
-    """One CSV column as a Series; raises ValueError/KeyError on any bad cell."""
+def _csv_reals(cells) -> np.ndarray:
+    return _finite(np.array(list(map(float, cells))))
+
+
+def _json_reals(values: list) -> np.ndarray:
+    if not set(map(type, values)) <= {int, float}:  # bool is neither
+        raise TypeError("not a number")
+    # an integer past the double range raises OverflowError, as float() does
+    return _finite(np.array(values, dtype=np.float64))
+
+
+def _decode_column(decl, cells, reals: Callable, bools: dict) -> Series:
+    """One column as a Series, real cells through `reals` and bool cells
+    through `bools`; raises ValueError, KeyError, TypeError or
+    OverflowError on any bad cell."""
     if decl.kind is SignalKind.REAL:
-        return Series(decl.kind, _finite_reals(cells))
+        return Series(decl.kind, reals(cells))
     if decl.kind is SignalKind.BOOL:
-        lookup = _BOOL_CELLS
-    else:
-        lookup = {v: decl.enum_variants.index(v) for v in decl.enum_variants}
-    return _make_series(decl, list(map(lookup.__getitem__, cells)))
+        return Series(decl.kind, np.array(list(map(bools.__getitem__, cells)), dtype=np.bool_))
+    lookup = {v: decl.enum_variants.index(v) for v in decl.enum_variants}
+    indices = np.array(list(map(lookup.__getitem__, cells)), dtype=np.int64)
+    return Series(decl.kind, indices, decl.enum_variants)
 
 
 def _raise_first_fault(body: list[list[str]], decls, width: int) -> None:
@@ -188,8 +198,11 @@ def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str =
         if set(map(len, body)) != {len(header)}:
             raise ValueError("malformed row")
         columns = list(zip(*body))
-        times = _finite_reals(columns[0])
-        channels = {d.name: _decode_column(d, cells) for d, cells in zip(decls, columns[1:])}
+        times = _csv_reals(columns[0])
+        channels = {
+            d.name: _decode_column(d, cells, _csv_reals, _BOOL_CELLS)
+            for d, cells in zip(decls, columns[1:])
+        }
     except (ValueError, KeyError):
         _raise_first_fault(body, decls, len(header))
         raise  # the walk found no fault: the decoder and the walk disagree
@@ -204,10 +217,39 @@ def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str =
         raise TraceError(exc.message, row=None if exc.row is None else exc.row + 1) from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is an error, where
+    `json` alone would keep the last value without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise TraceError(f"duplicate key '{key}'")
+            seen.add(key)
+    return obj
+
+
+def _check_value(v, decl, name: str, row: int) -> None:
+    """Raise the TraceError for a bad value `v` of JSON signal `name`."""
+    if decl.kind is SignalKind.REAL:
+        try:
+            good = type(v) in (int, float) and math.isfinite(v)
+        except OverflowError:  # an integer beyond the double range
+            good = False
+        if not good:
+            raise TraceError(f"bad real value {v!r} in '{name}'", row=row)
+    elif decl.kind is SignalKind.BOOL:
+        if v not in (0, 1):  # true and false are 1 and 0
+            raise TraceError(f"bad bool value {v!r} in '{name}'", row=row)
+    elif v not in decl.enum_variants:
+        raise TraceError(f"undeclared variant {v!r} in '{name}'", row=row)
+
+
 def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
     """Load a trace from the JSON format {id, dt, signals: {name: [...]}}."""
     try:
-        obj = json.loads(_decode(data))
+        obj = json.loads(_decode(data), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise TraceError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -243,27 +285,12 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
             n = len(values)
         elif len(values) != n:
             raise TraceError("ragged signals")
-        parsed = []
         try:
-            for i, v in enumerate(values):
-                if decl.kind is SignalKind.REAL:
-                    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                        raise TraceError(f"bad real value {v!r} in '{name}'", row=i + 1)
-                    parsed.append(float(v))
-                elif decl.kind is SignalKind.BOOL:
-                    if isinstance(v, bool):
-                        parsed.append(v)
-                    elif v in (0, 1):
-                        parsed.append(bool(v))
-                    else:
-                        raise TraceError(f"bad bool value {v!r} in '{name}'", row=i + 1)
-                else:
-                    if not isinstance(v, str) or v not in decl.enum_variants:
-                        raise TraceError(f"undeclared variant {v!r} in '{name}'", row=i + 1)
-                    parsed.append(decl.enum_variants.index(v))
-        except OverflowError:  # math.isfinite on an integer beyond the double range
-            raise TraceError(f"bad real value {v!r} in '{name}'", row=i + 1) from None
-        channels[name] = _make_series(decl, parsed)
+            channels[name] = _decode_column(decl, values, _json_reals, _BOOL_VALUES)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            for row, v in enumerate(values, start=1):
+                _check_value(v, decl, name, row)
+            raise  # the walk found no fault: the decoder and the walk disagree
 
     if n is None or n < 2:
         raise TraceError("fewer than 2 samples")

@@ -8,6 +8,7 @@ so agreement is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -40,6 +41,7 @@ from stlmon import (
     Specification,
     Sub,
     Trace,
+    TraceError,
     UNBOUNDED,
     Until,
     format_number,
@@ -95,7 +97,7 @@ def naive_until(lhs, rhs, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Per-cell trace CSV writer
+# Per-cell trace CSV writer and per-value JSON decoder
 # ---------------------------------------------------------------------------
 
 def percell_csv(trace: Trace) -> str:
@@ -114,6 +116,43 @@ def percell_csv(trace: Trace) -> str:
                 cells.append(series.variants[int(series.values[i])])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def pervalue_json(text: str, spec: Specification) -> dict[str, np.ndarray]:
+    """The signal arrays of a JSON trace, checked and converted one value at
+    a time in object order; raises the loader's TraceError for the first
+    fault. The `id` and `dt` fields are taken as valid."""
+    dtypes = {SignalKind.REAL: np.float64, SignalKind.BOOL: np.bool_, SignalKind.ENUM: np.int64}
+    n = None
+    channels = {}
+    for name, values in json.loads(text)["signals"].items():
+        decl = spec.signal(name)
+        if n is None:
+            n = len(values)
+        elif len(values) != n:
+            raise TraceError("ragged signals")
+        parsed = []
+        for i, v in enumerate(values, start=1):
+            if decl.kind is SignalKind.REAL:
+                try:
+                    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                except OverflowError:
+                    ok = False
+                if not ok:
+                    raise TraceError(f"bad real value {v!r} in '{name}'", row=i)
+                parsed.append(float(v))
+            elif decl.kind is SignalKind.BOOL:
+                if not (isinstance(v, bool) or v in (0, 1)):
+                    raise TraceError(f"bad bool value {v!r} in '{name}'", row=i)
+                parsed.append(bool(v))
+            else:
+                if not isinstance(v, str) or v not in decl.enum_variants:
+                    raise TraceError(f"undeclared variant {v!r} in '{name}'", row=i)
+                parsed.append(decl.enum_variants.index(v))
+        channels[name] = np.array(parsed, dtype=dtypes[decl.kind])
+    if n is None or n < 2:
+        raise TraceError("fewer than 2 samples")
+    return channels
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from stlmon import (
 )
 from stlmon.cli import run
 from stlmon.traces import write_columns_csv
-from reference import PALETTE_SPEC, expr_at, percell_csv, random_expr, random_trace
+from reference import (
+    PALETTE_SPEC,
+    expr_at,
+    percell_csv,
+    pervalue_json,
+    random_expr,
+    random_trace,
+)
 
 SPEC = parse_spec(
     """
@@ -212,6 +219,126 @@ class TestJsonLoader:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {trace}: row 2: bad real value {int(HUGE)!r} in 'x'\n"
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ('{"id":"d","dt":1,"signals":{"x":[-1,-1],"x":[1,2]}}', "x"),
+            ('{"id":"d","dt":1,"id":"e","signals":{"x":[1,2]}}', "id"),
+        ],
+        ids=["signal", "field"],
+    )
+    def test_duplicate_key_rejected(self, data, key):
+        with pytest.raises(TraceError) as err:
+            load_trace_json(data, SPEC)
+        assert str(err.value) == f"duplicate key '{key}'"
+
+    @pytest.mark.parametrize(
+        "signals, message",
+        [
+            ('"x":[1,%d]' % 10**309, f"row 2: bad real value {10**309!r} in 'x'"),
+            ('"x":[-1,-1],"x":[1,2]', "duplicate key 'x'"),
+        ],
+        ids=["overflowing_integer", "duplicate_signal"],
+    )
+    def test_check_exits_two_on_bad_json(self, tmp_path, capsys, signals, message):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: G[0, inf] (x > 0)\n")
+        trace = tmp_path / "d.json"
+        trace.write_text('{"id":"d","dt":1,"signals":{%s}}' % signals)
+        assert run(["check", str(spec), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {trace}: {message}\n"
+
+
+def _signals_json(signals: str) -> str:
+    return '{"id":"t","dt":1,"signals":{%s}}' % signals
+
+
+# values of every JSON type for each signal kind, the awkward ones included
+_REALS = [0, -1, 0.25, -0.0, 5e-324, 1.7976931348623157e308, 2**53 + 1, 2**63, -(2**63) - 1,
+          2**64 + 1, 10**309, math.nan, math.inf, -math.inf, True, False, None, "1", [1], {"a": 1}]
+_BOOLS = [True, False, 0, 1, 1.0, -0.0, 0.0, 2, -1, 0.5, 10**309, math.nan, "true", None, [0], {"b": 1}]
+_ENUMS = ["alpha", "beta", "gamma", "delta", "", 0, True, None, ["alpha"], {"alpha": 0}]
+
+
+def _random_signals(rng: random.Random) -> str:
+    n = rng.randrange(1, 7)
+    bad = rng.choice((0.0, 0.0, 0.1, 0.4))
+    parts = []
+    for name in rng.sample("xybm", rng.randrange(1, 5)):
+        length = n + (rng.random() < 0.1)
+        values = []
+        for _ in range(length):
+            if name == "b":
+                v = rng.choice(_BOOLS) if rng.random() < bad else rng.random() < 0.5
+            elif name == "m":
+                v = rng.choice(_ENUMS) if rng.random() < bad else rng.choice(("alpha", "beta", "gamma"))
+            else:
+                v = rng.choice(_REALS) if rng.random() < bad else rng.uniform(-10, 10)
+            values.append(json.dumps(v))  # NaN and Infinity too
+        parts.append('"%s":[%s]' % (name, ",".join(values)))
+    return ",".join(parts)
+
+
+class TestJsonColumnPass:
+    """The column pass and its fault walk give exactly what the per-value
+    loop in `reference.pervalue_json` gives: the same arrays, dtype and
+    bytes, or the same first fault."""
+
+    def assert_matches_reference(self, signals: str):
+        text = _signals_json(signals)
+        try:
+            want = pervalue_json(text, PALETTE_SPEC)
+        except TraceError as expected:
+            with pytest.raises(TraceError) as got:
+                load_trace_json(text, PALETTE_SPEC)
+            assert str(got.value) == str(expected)
+            return
+        channels = load_trace_json(text, PALETTE_SPEC).channels
+        assert list(channels) == list(want)
+        for name, values in want.items():
+            got = channels[name].values
+            assert (got.dtype, got.tobytes()) == (values.dtype, values.tobytes())
+
+    @pytest.mark.parametrize(
+        "signals",
+        [
+            '"x":[9007199254740993,9223372036854775808,-9223372036854775809,18446744073709551617]',
+            '"x":[0,%d]' % 10**309,
+            '"x":[0,%s]' % HUGE,
+            '"x":[-0.0,5e-324,-5e-324,0]',
+            '"x":[0,NaN]',
+            '"x":[Infinity,0]',
+            '"x":[0,-Infinity]',
+            '"b":[true,1,1.0,-0.0]',
+            '"b":[true,1,1.0,-0.0,2]',
+            '"b":[true,"true"]',
+            '"b":[false,null]',
+            '"m":["alpha",1]',
+            '"m":["beta",["alpha"]]',
+            '"x":[0,[1]]',
+            '"x":[0,{"a":1}]',
+            '"x":[0,true]',
+            '"x":[0,"bad"],"y":[0,1,2]',
+            '"x":[0,1],"y":[0,"bad",2]',
+        ],
+    )
+    def test_pinned_payload(self, signals):
+        self.assert_matches_reference(signals)
+
+    def test_random_payloads(self):
+        rng = random.Random(12)
+        faulty = 0
+        for _ in range(600):
+            signals = _random_signals(rng)
+            try:
+                pervalue_json(_signals_json(signals), PALETTE_SPEC)
+            except TraceError:
+                faulty += 1
+            self.assert_matches_reference(signals)
+        assert 100 < faulty < 500  # both outcomes are exercised
 
 
 class TestCsvRoundTrip:
