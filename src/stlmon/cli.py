@@ -228,11 +228,20 @@ def _json_dump(obj) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to standard output if out is None."""
     if out:
         with _writing(out):
             Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return
+    try:
+        with _writing("standard output"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except CliError:
+        # Drop the unwritten rest, or the interpreter's own flush at exit
+        # fails on it again and turns exit 2 into 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _display_pct(value: float) -> str:
@@ -267,15 +276,15 @@ def _cmd_check(args) -> int:
             }
             for trace_id, r in rows
         ]
-        sys.stdout.write(_json_dump(payload))
+        _emit(_json_dump(payload), None)
     else:
         width = max(len(t) for t, _ in rows)
         rule_width = max(len(r.rule_name) for _, r in rows)
-        for trace_id, r in rows:
-            sys.stdout.write(
-                f"{trace_id:<{width}}  {r.rule_name:<{rule_width}}  "
-                f"rho={r.rho:.6g}  {r.verdict.value}\n"
-            )
+        _emit("".join(
+            f"{trace_id:<{width}}  {r.rule_name:<{rule_width}}  "
+            f"rho={r.rho:.6g}  {r.verdict.value}\n"
+            for trace_id, r in rows
+        ), None)
     violated = any(r.verdict is Verdict.VIOLATED for _, r in rows)
     return 1 if violated else 0
 
@@ -305,17 +314,13 @@ def _write_profiles(out_dir: str, chunk: list[Trace], profiles, written: set[str
 # report
 # ---------------------------------------------------------------------------
 
+def _summary(r: FleetReport) -> dict:
+    """A fleet's regulator metrics, in the key order of the JSON outputs."""
+    return {"n": r.n_traces, "satisfaction_pct": r.satisfaction_pct, "trv": r.trv, "lrv": r.lrv}
+
+
 def _report_payload(reports: list[FleetReport]) -> dict:
-    return {
-        r.rule_name: {
-            "n": r.n_traces,
-            "satisfaction_pct": r.satisfaction_pct,
-            "trv": r.trv,
-            "lrv": r.lrv,
-            "rho": list(r.rho_values),
-        }
-        for r in reports
-    }
+    return {r.rule_name: {**_summary(r), "rho": list(r.rho_values)} for r in reports}
 
 
 def _report_table(reports: list[FleetReport]) -> str:
@@ -344,18 +349,10 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _compare_payload(pre: FleetReport, post: FleetReport, cmp: CompareReport) -> dict:
-    def side(r: FleetReport) -> dict:
-        return {
-            "n": r.n_traces,
-            "satisfaction_pct": r.satisfaction_pct,
-            "trv": r.trv,
-            "lrv": r.lrv,
-        }
-
     change = cmp.satisfaction_change_pct
     return {
-        "pre": side(pre),
-        "post": side(post),
+        "pre": _summary(pre),
+        "post": _summary(post),
         "u_statistic": cmp.u_statistic,
         "p_value": cmp.p_value,
         "method": cmp.method,
@@ -468,7 +465,7 @@ def _cmd_simulate(args) -> int:
     ]
     with _writing(f"fleet to {out_dir}"):
         (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(rows)} traces to {out_dir}\n")
+    _emit(f"wrote {len(rows)} traces to {out_dir}\n", None)
     return 0
 
 
@@ -511,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p_sim.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", action="store_true", help="use the shipped scenario")
     source.add_argument("--config", metavar="FILE", help="scenario/policy config file")
-    p_sim.add_argument("--policy", choices=("pre", "post"), required=True)
+    p_sim.add_argument("--policy", required=True, help="a policy the config defines")
     p_sim.add_argument("--n", type=int, required=True, help="number of episodes (>= 1)")
     p_sim.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p_sim.add_argument("--out", required=True, metavar="DIR")

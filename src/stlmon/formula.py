@@ -118,19 +118,19 @@ class _BinaryExpr(SignalExpr):
 
 
 class Add(_BinaryExpr):
-    op = "+"
+    op, prec = "+", 1
 
 
 class Sub(_BinaryExpr):
-    op = "-"
+    op, prec = "-", 1
 
 
 class Mul(_BinaryExpr):
-    op = "*"
+    op, prec = "*", 2
 
 
 class Div(_BinaryExpr):
-    op = "/"
+    op, prec = "/", 2
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,10 @@ class BoolIs(Predicate):
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
+#
+# Each operator class owns its concrete syntax: `op` is its token and `prec`
+# how tightly it binds (loosest 0). The parser and the printer read both
+# from here. Binary operators associate left, except `->` (the loosest).
 
 class Formula:
     pass
@@ -178,11 +182,15 @@ class Formula:
 
 @dataclass(frozen=True)
 class Atom(Formula):
+    prec = 5
+
     predicate: Predicate
 
 
 @dataclass(frozen=True)
 class Not(Formula):
+    op, prec = "!", 4
+
     child: Formula
 
 
@@ -193,19 +201,21 @@ class _BinaryFormula(Formula):
 
 
 class And(_BinaryFormula):
-    op = "&&"
+    op, prec = "&&", 2
 
 
 class Or(_BinaryFormula):
-    op = "||"
+    op, prec = "||", 1
 
 
 class Implies(_BinaryFormula):
-    op = "->"
+    op, prec = "->", 0
 
 
 @dataclass(frozen=True)
 class _TemporalUnary(Formula):
+    prec = 4
+
     interval: Interval
     child: Formula
 
@@ -220,6 +230,8 @@ class Eventually(_TemporalUnary):
 
 @dataclass(frozen=True)
 class Until(Formula):
+    op, prec = "U", 3
+
     interval: Interval
     lhs: Formula
     rhs: Formula
@@ -251,26 +263,6 @@ class Specification:
 # Printing
 # ---------------------------------------------------------------------------
 
-# Formula precedence, loosest first. Atoms rank above everything and are
-# always parenthesized as operands, which matches the canonical layout
-# the parser round-trips.
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY, _PREC_ATOM = range(6)
-
-
-def _formula_prec(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return _PREC_ATOM
-    if isinstance(f, (Not, Globally, Eventually)):
-        return _PREC_UNARY
-    if isinstance(f, Until):
-        return _PREC_UNTIL
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    return _PREC_IMPLIES
-
-
 def _print_expr(e: SignalExpr, min_prec: int = 0) -> str:
     if isinstance(e, SignalRef):
         return e.name
@@ -281,9 +273,8 @@ def _print_expr(e: SignalExpr, min_prec: int = 0) -> str:
     if isinstance(e, Deriv):
         return f"deriv({e.name})"
     if isinstance(e, _BinaryExpr):
-        prec = 1 if isinstance(e, (Add, Sub)) else 2
-        text = f"{_print_expr(e.lhs, prec)} {e.op} {_print_expr(e.rhs, prec + 1)}"
-        return f"({text})" if prec < min_prec else text
+        text = f"{_print_expr(e.lhs, e.prec)} {e.op} {_print_expr(e.rhs, e.prec + 1)}"
+        return f"({text})" if e.prec < min_prec else text
     raise TypeError(f"not a signal expression: {e!r}")
 
 
@@ -299,28 +290,9 @@ def _print_predicate(p: Predicate) -> str:
 
 
 def _operand(f: Formula, min_prec: int) -> str:
-    text = _print_formula(f)
-    if isinstance(f, Atom) or _formula_prec(f) < min_prec:
-        return f"({text})"
-    return text
-
-
-def _print_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return _print_predicate(f.predicate)
-    if isinstance(f, Not):
-        return f"!({_print_formula(f.child)})"
-    if isinstance(f, (Globally, Eventually)):
-        return f"{f.op}{f.interval} ({_print_formula(f.child)})"
-    if isinstance(f, Until):
-        return f"{_operand(f.lhs, _PREC_UNTIL)} U{f.interval} {_operand(f.rhs, _PREC_UNTIL + 1)}"
-    if isinstance(f, And):
-        return f"{_operand(f.lhs, _PREC_AND)} && {_operand(f.rhs, _PREC_AND + 1)}"
-    if isinstance(f, Or):
-        return f"{_operand(f.lhs, _PREC_OR)} || {_operand(f.rhs, _PREC_OR + 1)}"
-    if isinstance(f, Implies):
-        return f"{_operand(f.lhs, _PREC_IMPLIES + 1)} -> {_operand(f.rhs, _PREC_IMPLIES)}"
-    raise TypeError(f"not a formula: {f!r}")
+    # An atom is always parenthesized as an operand: the canonical layout.
+    text = pretty_print(f)
+    return f"({text})" if isinstance(f, Atom) or f.prec < min_prec else text
 
 
 def pretty_print(f: Formula) -> str:
@@ -328,7 +300,17 @@ def pretty_print(f: Formula) -> str:
 
     The output re-parses (inside a rule) to a structurally identical tree.
     """
-    return _print_formula(f)
+    if isinstance(f, Atom):
+        return _print_predicate(f.predicate)
+    if isinstance(f, Not):
+        return f"!({pretty_print(f.child)})"
+    if isinstance(f, _TemporalUnary):
+        return f"{f.op}{f.interval} ({pretty_print(f.child)})"
+    if isinstance(f, (_BinaryFormula, Until)):
+        op = f"{f.op}{f.interval}" if isinstance(f, Until) else f.op
+        lhs, rhs = (f.prec + 1, f.prec) if isinstance(f, Implies) else (f.prec, f.prec + 1)
+        return f"{_operand(f.lhs, lhs)} {op} {_operand(f.rhs, rhs)}"
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def pretty_print_spec(spec: Specification) -> str:

@@ -8,6 +8,8 @@ A specification file is a declarations section followed by named rules:
     rule speed_limit: G[0, inf] (speed < 900)
 
 Whitespace is insignificant and `#` comments run to end of line.
+Operator precedence and associativity come from the AST classes in
+`formula.py` (each class's `op` and `prec`); the parser only reads them.
 
 The parser is the one place a specification is checked. Every input
 either parses to a well-formed Specification (unique names, declared
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .formula import (
@@ -129,11 +132,17 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-# Bound on recursive-descent depth, counted at the implies/unary/factor
+# Bound on recursive-descent depth, counted at the formula/unary/factor
 # funnels (a syntactic nesting level costs up to three ticks). Keeps the
 # parser far from the interpreter stack limit; real rules nest a handful
 # of levels deep.
 MAX_NESTING = 120
+
+# Operator tokens, read from the classes that own them.
+_BINARY = {cls.op: cls for cls in (Implies, Or, And, Until)}
+_UNARY = {cls.op: cls for cls in (Not, Globally, Eventually)}
+_ARITH = {cls.op: cls for cls in (Add, Sub, Mul, Div)}
+_COMPARE = {op.value: op for op in CmpOp}
 
 
 class _Parser:
@@ -143,10 +152,16 @@ class _Parser:
         self.decls: dict[str, SignalDecl] = {}
         self.nesting = 0
 
-    def _descend(self) -> None:
+    @contextmanager
+    def _nested(self):
+        # Checked before `try`, so a level refused here stays counted.
         self.nesting += 1
         if self.nesting > MAX_NESTING:
             raise ParseError(self.peek().span, "formula nests too deeply")
+        try:
+            yield
+        finally:
+            self.nesting -= 1
 
     # -- token plumbing ----------------------------------------------------
 
@@ -226,57 +241,34 @@ class _Parser:
         self.decls[name_tok.text] = decl
 
     def formula(self) -> Formula:
-        return self.implies()
+        with self._nested():
+            return self._binary(Implies.prec)
 
-    def implies(self) -> Formula:
-        self._descend()
-        try:
-            lhs = self.or_()
-            if self.at("op", "->"):
-                self.advance()
-                return Implies(lhs, self.implies())  # right-associative
-            return lhs
-        finally:
-            self.nesting -= 1
-
-    def or_(self) -> Formula:
-        f = self.and_()
-        while self.at("op", "||"):
-            self.advance()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self) -> Formula:
-        f = self.until()
-        while self.at("op", "&&"):
-            self.advance()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
+    def _binary(self, prec: int) -> Formula:
+        """Precedence climbing: an operand, then each operator binding at `prec` or tighter."""
         f = self.unary()
-        while self.at("keyword", "U"):
-            u_tok = self.advance()
-            if not self.at("op", "["):
-                raise ParseError(u_tok.span, "U requires an explicit interval", ("'['",))
-            iv = self.interval()
-            f = Until(iv, f, self.unary())
+        while (cls := _BINARY.get(self.peek().text)) is not None and cls.prec >= prec:
+            op_tok = self.advance()
+            if cls is Implies:  # right-associative
+                f = Implies(f, self.formula())
+            elif cls is Until:
+                if not self.at("op", "["):
+                    raise ParseError(op_tok.span, "U requires an explicit interval", ("'['",))
+                f = Until(self.interval(), f, self._binary(cls.prec + 1))
+            else:
+                f = cls(f, self._binary(cls.prec + 1))
         return f
 
     def unary(self) -> Formula:
-        self._descend()
-        try:
-            if self.at("op", "!"):
-                self.advance()
+        with self._nested():
+            cls = _UNARY.get(self.peek().text)
+            if cls is None:
+                return self.primary()
+            self.advance()
+            if cls is Not:
                 return Not(self.unary())
-            if self.at("keyword", "G") or self.at("keyword", "F"):
-                op = self.advance().text
-                iv = self.interval() if self.at("op", "[") else Interval(0.0, UNBOUNDED)
-                child = self.unary()
-                return Globally(iv, child) if op == "G" else Eventually(iv, child)
-            return self.primary()
-        finally:
-            self.nesting -= 1
+            iv = self.interval() if self.at("op", "[") else Interval(0.0, UNBOUNDED)
+            return cls(iv, self.unary())
 
     def interval(self) -> Interval:
         self.expect("op", "[")
@@ -323,10 +315,9 @@ class _Parser:
                 return self.bool_predicate(decl)
         lhs = self.expr()
         op_tok = self.peek()
-        ops = {"<": CmpOp.LT, "<=": CmpOp.LE, ">": CmpOp.GT, ">=": CmpOp.GE}
-        if op_tok.kind == "op" and op_tok.text in ops:
+        if op_tok.text in _COMPARE:
             self.advance()
-            return Compare(lhs, ops[op_tok.text], self.expr())
+            return Compare(lhs, _COMPARE[op_tok.text], self.expr())
         if op_tok.kind == "op" and op_tok.text in ("==", "!="):
             raise ParseError(op_tok.span, "'==' and '!=' apply only to enum or bool signals")
         raise ParseError(op_tok.span, f"unexpected {_describe(op_tok)}", ("comparison operator",))
@@ -359,54 +350,40 @@ class _Parser:
 
     # -- signal expressions -------------------------------------------------
 
-    def expr(self) -> SignalExpr:
-        e = self.term()
-        while self.at("op", "+") or self.at("op", "-"):
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
-
-    def term(self) -> SignalExpr:
+    def expr(self, prec: int = 1) -> SignalExpr:
+        """Precedence climbing over `+ - * /`, all left-associative."""
         e = self.factor()
-        while self.at("op", "*") or self.at("op", "/"):
-            op = self.advance().text
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        while (cls := _ARITH.get(self.peek().text)) is not None and cls.prec >= prec:
+            self.advance()
+            e = cls(e, self.expr(cls.prec + 1))
         return e
 
     def factor(self) -> SignalExpr:
-        self._descend()
-        try:
-            return self._factor()
-        finally:
-            self.nesting -= 1
-
-    def _factor(self) -> SignalExpr:
-        tok = self.peek()
-        if self.at("op", "-"):
-            minus = self.advance()
+        with self._nested():
+            tok = self.peek()
+            if self.at("op", "-"):
+                minus = self.advance()
+                if self.at("number"):
+                    return Constant(-self.advance().value)
+                raise ParseError(minus.span, "'-' is only allowed before a numeric literal")
             if self.at("number"):
-                return Constant(-self.advance().value)
-            raise ParseError(minus.span, "'-' is only allowed before a numeric literal")
-        if self.at("number"):
-            return Constant(self.advance().value)
-        if self.at("op", "("):
-            self.advance()
-            e = self.expr()
-            self.expect("op", ")")
-            return e
-        if tok.kind == "ident":
-            if self.peek(1).kind == "op" and self.peek(1).text == "(":
-                return self.call()
-            self.advance()
-            decl = self.decls.get(tok.text)
-            if decl is None:
-                raise ParseError(tok.span, f"unknown signal '{tok.text}'")
-            if decl.kind is not SignalKind.REAL:
-                raise ParseError(tok.span, f"signal '{tok.text}' is not real-valued")
-            return SignalRef(tok.text)
-        raise ParseError(tok.span, f"unexpected {_describe(tok)}", ("signal expression",))
+                return Constant(self.advance().value)
+            if self.at("op", "("):
+                self.advance()
+                e = self.expr()
+                self.expect("op", ")")
+                return e
+            if tok.kind == "ident":
+                if self.peek(1).kind == "op" and self.peek(1).text == "(":
+                    return self.call()
+                self.advance()
+                decl = self.decls.get(tok.text)
+                if decl is None:
+                    raise ParseError(tok.span, f"unknown signal '{tok.text}'")
+                if decl.kind is not SignalKind.REAL:
+                    raise ParseError(tok.span, f"signal '{tok.text}' is not real-valued")
+                return SignalRef(tok.text)
+            raise ParseError(tok.span, f"unexpected {_describe(tok)}", ("signal expression",))
 
     def call(self) -> SignalExpr:
         name_tok = self.advance()

@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,10 +162,8 @@ def windowed_extremum(series, width: int, mode: str) -> np.ndarray:
     return op(suffix[..., :n], prefix[..., w:n + w])
 
 
-@lru_cache(maxsize=1024)
 def _bound_to_index(bound: float, dt: float) -> float:
-    """A bound's sample offset at step dt, resolved once per (bound, dt);
-    inf lies past the end of any trace."""
+    """A bound's sample offset at step dt; inf lies past the end of any trace."""
     exact = bound / dt
     if math.isinf(exact):  # past the end of any trace
         return exact

@@ -252,6 +252,24 @@ class TestSimulate:
             preset_out / "trace_000000.csv"
         ).read_bytes()
 
+    def test_config_defined_policy_simulates(self, tmp_path, capsys):
+        from stlmon.sim import format_config
+
+        cfg, pre, _ = stlmon.builtin_presets()
+        cfg_file = tmp_path / "fast.cfg"
+        cfg_file.write_text(format_config(cfg, {"fast": pre}))
+        out = tmp_path / "fleet"
+        code = run(["simulate", "--config", str(cfg_file), "--policy", "fast",
+                    "--n", "2", "--out", str(out)])
+        assert code == 0
+        assert "policy = fast\n" in (out / "manifest.txt").read_text()
+        capsys.readouterr()
+        code = run(["simulate", "--preset", "--policy", "fast", "--n", "2",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config defines no policy 'fast'\n"
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("dt = -1\n")
@@ -806,6 +824,30 @@ class TestEntryPoints:
         assert b"rho=" in expected.stdout
         for got in results[1:]:
             assert (got.returncode, got.stdout) == (expected.returncode, expected.stdout)
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["check", "report", "compare", "simulate"])
+    def test_failed_stdout_write_exits_two_with_one_line(self, workspace, command):
+        spec = str(workspace / "rules.stl")
+        argv = {
+            "check": [spec, str(workspace / "ok.csv")],
+            "report": [spec, str(workspace)],
+            "compare": [spec, str(workspace), str(workspace)],
+            "simulate": ["--preset", "--policy", "pre", "--n", "2",
+                         "--out", str(workspace / "fleet")],
+        }[command]
+        # Buffered stdout, as on a plain run: the unwritten rest must not make
+        # the interpreter's own flush at exit fail again.
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "stlmon", command, *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write standard output: [Errno 28] No space left on device\n"
+        )
 
 
 class TestColdStart:

@@ -1,6 +1,8 @@
 """Tokenizer and parser: grammar, precedence, spans, round-trip, totality."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from stlmon import (
     Globally,
     Implies,
     Interval,
+    Not,
+    Or,
     ParseError,
     SignalRef,
     Specification,
@@ -100,20 +104,70 @@ class TestGrammar:
         assert isinstance(f.rhs, Implies)
         assert isinstance(f.lhs, Atom)
 
-    def test_and_binds_tighter_than_or(self):
-        f = parse_rule("(speed < 1) || (speed < 2) && (speed < 3)")
-        assert isinstance(f, type(parse_rule("(speed<1) || (speed<2)")))
-        assert isinstance(f.rhs, And)
+    @pytest.mark.parametrize(
+        "source, grouped",
+        [
+            ("(speed < 1) || (speed < 2) && (speed < 3)",
+             "(speed < 1) || ((speed < 2) && (speed < 3))"),
+            ("(speed < 1) && (speed < 2) U[0, 3] (speed < 4)",
+             "(speed < 1) && ((speed < 2) U[0, 3] (speed < 4))"),
+            ("speed - phi * dist_obst < 0", "speed - (phi * dist_obst) < 0"),
+        ],
+        ids=["and-over-or", "until-over-and", "mul-over-sub"],
+    )
+    def test_binds_tighter(self, source, grouped):
+        f = parse_rule(source)
+        assert f == parse_rule(grouped)
+        assert pretty_print(f) == source
 
-    def test_until_binds_tighter_than_and(self):
-        f = parse_rule("(speed < 1) && (speed < 2) U[0, 3] (speed < 4)")
-        assert isinstance(f, And)
-        assert isinstance(f.rhs, Until)
+    def test_docs_precedence_table_matches_the_classes(self):
+        """The table in docs/formats.md lists one level per `prec`, loosest
+        first, each with the associativity the parser gives it."""
+        text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        section = text.split("### Grammar and precedence")[1].split("\n#")[0]
+        classes = {cls.op: cls for cls in (Implies, Or, And, Until, Not, Globally, Eventually)}
+        classes["( ... )"] = Atom
+        levels, documented = [], set()  # (level, prec) per row; classes named
+        for line in section.splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if not cells or not cells[0].isdigit():
+                continue
+            ops = [op.replace("\\|", "|") for op in re.findall(r"`([^`]*)`", cells[1])]
+            row = {classes[op.split("[")[0]] for op in ops}
+            [prec] = {cls.prec for cls in row}
+            levels.append((int(cells[0]), prec))
+            documented |= row
+            if cells[2] in ("left", "right"):
+                [op] = ops
+                a, b, c = "(speed < 1)", "(speed < 2)", "(speed < 3)"
+                op = op.replace("lo, hi", "0, 4")
+                grouped = (f"({a} {op} {b}) {op} {c}" if cells[2] == "left"
+                           else f"{a} {op} ({b} {op} {c})")
+                assert parse_rule(f"{a} {op} {b} {op} {c}") == parse_rule(grouped), line
+            else:
+                assert cells[2] == ("prefix" if Atom not in row else "-"), line
+        assert documented == set(classes.values())
+        assert [level for level, _ in levels] == list(range(1, len(levels) + 1))
+        assert [prec for _, prec in levels] == sorted({prec for _, prec in levels})
 
-    def test_until_left_associative(self):
-        f = parse_rule("(speed < 1) U[0, 2] (speed < 3) U[0, 4] (speed < 5)")
-        assert isinstance(f, Until)
-        assert isinstance(f.lhs, Until)
+    @pytest.mark.parametrize(
+        "source, grouped",
+        [
+            ("(speed < 1) U[0, 2] (speed < 3) U[0, 4] (speed < 5)",
+             "((speed < 1) U[0, 2] (speed < 3)) U[0, 4] (speed < 5)"),
+            ("(speed < 1) || (speed < 2) || (speed < 3)",
+             "((speed < 1) || (speed < 2)) || (speed < 3)"),
+            ("(speed < 1) && (speed < 2) && (speed < 3)",
+             "((speed < 1) && (speed < 2)) && (speed < 3)"),
+            ("speed - phi - dist_obst < 0", "(speed - phi) - dist_obst < 0"),
+            ("speed / phi / dist_obst < 0", "(speed / phi) / dist_obst < 0"),
+        ],
+        ids=["until", "or", "and", "sub", "div"],
+    )
+    def test_left_associative(self, source, grouped):
+        f = parse_rule(source)
+        assert f == parse_rule(grouped)
+        assert pretty_print(f) == source
 
     def test_until_requires_interval(self):
         with pytest.raises(ParseError, match="explicit interval"):
