@@ -186,41 +186,39 @@ def _ordered_map(job, items) -> list:
     Where there is one CPU, no fork or only one chunk, this is the single
     call `job(items)` in this process, and `multiprocessing` is never
     imported. Otherwise ordered chunks of about an eighth of a worker's
-    share go to a pool with one worker per CPU, so that uneven items
-    (episodes of 100 to 800 steps, trace files of any length) even out.
-    The chunks are consumed in order, so an exception raised by a job is
-    raised here after the results of the chunks before it: the first
-    fault in item order is the one raised. The workers are forked: a
-    spawned one would first start an interpreter and import numpy, 0.13 s
-    on a 2-vCPU Xeon, where one process scores the 1,000 traces of a
-    preset fleet in about 0.8 s."""
+    share go to a process pool with one worker per CPU, so that uneven
+    items (episodes of 100 to 800 steps, trace files of any length) even
+    out. The chunks' results are read in order, so an exception raised by
+    a job is raised here after the results of the chunks before it: the
+    first fault in item order is the one raised. The chunks the workers
+    have already taken then finish, the rest are cancelled, and no worker
+    is killed; a worker that dies raises BrokenProcessPool. The workers
+    are forked: a spawned one would first start an interpreter and import
+    numpy, 0.13 s on a 2-vCPU Xeon, where one process scores the 1,000
+    traces of a preset fleet in about 0.8 s."""
     workers = _cpu_count()
     size = -(-len(items) // (8 * workers))
     if workers == 1 or size >= len(items) or not hasattr(os, "fork"):
         return job(items)
     import multiprocessing
     import warnings
+    from concurrent.futures import ProcessPoolExecutor
 
     chunks = [items[i:i + size] for i in range(0, len(items), size)]
     sys.stdout.flush()  # a forked worker must not inherit buffered output
-    with warnings.catch_warnings():
-        # From Python 3.12 a fork in a process with other threads warns that
-        # the child may deadlock. Those threads are numpy's BLAS pool, and the
-        # workers call no BLAS routine: this package uses no dot, matmul or linalg.
-        warnings.filterwarnings(
-            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
-            r"may lead to deadlocks in the child\.$", DeprecationWarning,
-        )
-        pool = multiprocessing.get_context("fork").Pool(min(workers, len(chunks)))
-    try:
-        results = [x for part in pool.imap(job, chunks) for x in part]
-        pool.close()
-    except BaseException:
-        pool.terminate()  # the workers may still be running later chunks
-        raise
-    finally:
-        pool.join()
-    return results
+    with ProcessPoolExecutor(min(workers, len(chunks)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        with warnings.catch_warnings():
+            # The first submit forks every worker. From Python 3.12 a fork in
+            # a process with other threads warns that the child may deadlock.
+            # Those threads are numpy's BLAS pool, and the workers call no BLAS
+            # routine: this package uses no dot, matmul or linalg.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
+                r"may lead to deadlocks in the child\.$", DeprecationWarning,
+            )
+            parts = pool.map(job, chunks)
+        return [x for part in parts for x in part]
 
 
 def _json_dump(obj) -> str:

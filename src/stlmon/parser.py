@@ -137,6 +137,7 @@ def tokenize(source: str) -> list[Token]:
 # parser far from the interpreter stack limit; real rules nest a handful
 # of levels deep.
 MAX_NESTING = 120
+_TOO_DEEP = "formula nests too deeply"
 
 # Operator tokens, read from the classes that own them.
 _BINARY = {cls.op: cls for cls in (Implies, Or, And, Until)}
@@ -154,11 +155,11 @@ class _Parser:
 
     @contextmanager
     def _nested(self):
-        # Checked before `try`, so a level refused here stays counted.
+        # Every level counted is given back, a refused one too.
         self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise ParseError(self.peek().span, "formula nests too deeply")
         try:
+            if self.nesting > MAX_NESTING:
+                raise ParseError(self.peek().span, _TOO_DEEP)
             yield
         finally:
             self.nesting -= 1
@@ -302,7 +303,10 @@ class _Parser:
                 try:
                     return Atom(self.predicate())
                 except ParseError as pred_err:
-                    raise pred_err if _pos_of(pred_err) >= _pos_of(formula_err) else formula_err
+                    # A formula reading refused for depth stays a depth error.
+                    if formula_err.message == _TOO_DEEP or _pos_of(pred_err) < _pos_of(formula_err):
+                        raise formula_err from None
+                    raise
         return Atom(self.predicate())
 
     def predicate(self) -> Predicate:

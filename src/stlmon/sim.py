@@ -19,7 +19,7 @@ time column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -350,19 +350,16 @@ def builtin_presets() -> tuple[ScenarioConfig, PolicyParams, PolicyParams]:
 # Plain key-value configuration files
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "map_half_extent", "obstacles", "goal_sampler", "linear_speed", "dt",
-    "max_steps", "angular_menu",
-}
-_POLICY_KEYS = {"turn_gain", "noise_std", "repulsion_gain", "repulsion_range", "turn_smoothing"}
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
+_POLICY_KEYS = {f.name for f in fields(PolicyParams)}
 
 
 def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams]]:
     """Parse `key = value` scenario/policy configuration text.
 
     Scenario keys are the ScenarioConfig field names; policy keys are the
-    PolicyParams field names prefixed with the policy name (`pre.noise_std`).
-    `#` starts a comment. Example values:
+    PolicyParams field names prefixed with the policy name (`pre.noise_std`),
+    and each key may appear once. `#` starts a comment. Example values:
 
         obstacles = 1.2,1.2,0.35; -1.2,1.2,0.35
         goal_sampler = 2025,1.0,1.8
@@ -378,16 +375,17 @@ def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if "." in key:
-            policy, field_name = key.split(".", 1)
-            if field_name not in _POLICY_KEYS:
+            policy, field = key.split(".", 1)
+            if field not in _POLICY_KEYS:
                 raise ConfigError(f"line {lineno}: unknown policy key '{key}'")
-            policies.setdefault(policy, {})[field_name] = value
+            values = policies.setdefault(policy, {})
         elif key in _SCENARIO_KEYS:
-            if key in scenario:
-                raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-            scenario[key] = value
+            values, field = scenario, key
         else:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if field in values:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'")
+        values[field] = value
 
     missing = _SCENARIO_KEYS - scenario.keys()
     if missing:
@@ -399,15 +397,15 @@ def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams
         except ValueError:
             raise ConfigError(f"bad number for '{key}': {scenario[key]!r}") from None
 
+    gs_parts = scenario["goal_sampler"].split(",")
+    if len(gs_parts) != 3:
+        raise ConfigError("goal_sampler needs 'seed,min_radius,max_radius'")
     try:
         obstacles = tuple(
             Obstacle(*(float(c) for c in triple.split(",")))
             for triple in scenario["obstacles"].split(";")
             if triple.strip()
         )
-        gs_parts = [p.strip() for p in scenario["goal_sampler"].split(",")]
-        if len(gs_parts) != 3:
-            raise ConfigError("goal_sampler needs 'seed,min_radius,max_radius'")
         goal_sampler = GoalSampler(int(gs_parts[0]), float(gs_parts[1]), float(gs_parts[2]))
         menu = tuple(float(c) for c in scenario["angular_menu"].split(","))
     except (TypeError, ValueError) as exc:
@@ -427,12 +425,12 @@ def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams
     )
 
     parsed_policies: dict[str, PolicyParams] = {}
-    for name, fields in policies.items():
-        missing = _POLICY_KEYS - fields.keys()
+    for name, values in policies.items():
+        missing = _POLICY_KEYS - values.keys()
         if missing:
             raise ConfigError(f"policy '{name}' missing keys: {', '.join(sorted(missing))}")
         try:
-            parsed_policies[name] = PolicyParams(**{k: float(v) for k, v in fields.items()})
+            parsed_policies[name] = PolicyParams(**{k: float(v) for k, v in values.items()})
         except ValueError as exc:
             raise ConfigError(f"policy '{name}': {exc}") from None
     return cfg, parsed_policies
@@ -455,10 +453,5 @@ def format_config(cfg: ScenarioConfig, policies: dict[str, PolicyParams]) -> str
         "angular_menu = " + ",".join(fmt(m) for m in cfg.angular_menu),
     ]
     for name in sorted(policies):
-        p = policies[name]
-        lines.append(f"{name}.turn_gain = {fmt(p.turn_gain)}")
-        lines.append(f"{name}.noise_std = {fmt(p.noise_std)}")
-        lines.append(f"{name}.repulsion_gain = {fmt(p.repulsion_gain)}")
-        lines.append(f"{name}.repulsion_range = {fmt(p.repulsion_range)}")
-        lines.append(f"{name}.turn_smoothing = {fmt(p.turn_smoothing)}")
+        lines += (f"{name}.{key} = {fmt(value)}" for key, value in vars(policies[name]).items())
     return "\n".join(lines) + "\n"

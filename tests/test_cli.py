@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -804,6 +805,57 @@ class TestEvaluationFaults:
         with pytest.raises(RuntimeError, match="evaluator bug"):
             run(["report", str(workspace / "rules.stl"), str(workspace)])
         assert multiprocessing.active_children() == []
+
+
+class TestPoolFaults:
+    """A fault stops the pool without killing a worker, and a worker that
+    dies is an error, not a wait."""
+
+    def test_faulty_file_terminates_no_worker(self, workspace, tmp_path, monkeypatch, capsys):
+        from multiprocessing.process import BaseProcess
+
+        fleet = fill_dir(tmp_path / "fleet", range(40))
+        (fleet / "t013.csv").write_text("time,speed\n0,850\n")  # single row
+        terminated = []
+        terminate = BaseProcess.terminate
+
+        def logged(process):
+            terminated.append(process.pid)
+            terminate(process)
+
+        monkeypatch.setattr(BaseProcess, "terminate", logged)
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: 3)
+        assert run(["report", str(workspace / "rules.stl"), str(fleet)]) == 2
+        assert capsys.readouterr().err == f"error: {fleet / 't013.csv'}: fewer than 2 rows\n"
+        assert terminated == []
+
+    def test_dead_worker_is_an_error_not_a_wait(self, workspace, tmp_path):
+        fleet = fill_dir(tmp_path / "fleet", range(40))
+        code = (
+            "import os, signal, sys, stlmon.cli\n"
+            "stlmon.cli._cpu_count = lambda: 2\n"
+            "evaluate = stlmon.cli.evaluate_specification\n"
+            "def dying(spec, *traces):\n"
+            "    if any(trace.id == 't013' for trace in traces):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return evaluate(spec, *traces)\n"
+            "stlmon.cli.evaluate_specification = dying\n"
+            f"sys.exit(stlmon.cli.run(['report', {str(workspace / 'rules.stl')!r}, "
+            f"{str(fleet)!r}]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        # A session of its own, so that a timeout can stop the workers too.
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("report still waiting on a dead worker after 60 s")
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in err
 
 
 class TestEntryPoints:

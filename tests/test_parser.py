@@ -305,3 +305,20 @@ class TestNestingBound:
         inner = "(" * 30 + "x < 1" + ")" * 30
         spec = parse_spec(f"signal x : real\nrule r: {inner}\n")
         assert spec.rules[0].formula == Atom(Compare(SignalRef("x"), CmpOp.LT, Constant(1)))
+
+    # 59 expression parens: the formula reading of the outer `(` is refused
+    # for depth (two levels a paren), the predicate reading fits (one level).
+    DEEP_EXPR = "(" * 59 + "x" + ")" * 59
+
+    def test_predicate_reading_after_a_refused_formula_reading(self):
+        spec = parse_spec(f"signal x : real\nrule r: {self.DEEP_EXPR} < 1\n")
+        assert spec.rules[0].formula == Atom(Compare(SignalRef("x"), CmpOp.LT, Constant(1)))
+
+    def test_refused_levels_are_not_charged_to_a_later_rule(self):
+        errors = []
+        for first in (self.DEEP_EXPR, "x"):
+            with pytest.raises(ParseError) as exc:
+                parse_spec(f"signal x : real\nrule a: {first} < 1\nrule b: x <\n")
+            errors.append(str(exc.value))
+        assert errors == ["line 4, column 1: unexpected end of input "
+                          "(expected signal expression)"] * 2

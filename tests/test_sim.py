@@ -209,6 +209,27 @@ class TestEpisodes:
         assert "collision" in outcomes
 
 
+    def test_wall_repulsion_turns_away(self):
+        # No goal seeking and no noise: the robot drives straight at the +x
+        # wall and, without repulsion, hits it. With repulsion it turns right
+        # once the wall is in range, then circles clear of all four walls.
+        cfg = open_arena(map_half_extent=2.0, linear_speed=0.3,
+                         goal_sampler=GoalSampler(seed=1, min_radius=1.2, max_radius=1.2))
+        blind = PolicyParams(0.0, 0.0, 0.0, 0.8, 0.0)
+        assert simulate_episode(cfg, blind, 0).outcome == "collision"
+        ep = simulate_episode(cfg, PolicyParams(0.0, 0.0, 3.0, 0.8, 0.0), 0)
+        xs, ys, phis, dists = (ep.trace.channels[k].values for k in ("x", "y", "phi", "dist_obst"))
+        turn = np.flatnonzero(phis)[0]  # first sample after a turn
+        assert 2.0 - xs[turn - 1] < 0.8
+        assert phis[turn] < 0
+        assert (ep.outcome, ep.steps) == ("timeout", 400)
+        assert dists.min() > 0
+        for values in (xs, ys):  # each wall came within range
+            assert values.min() < -1.2 and values.max() > 1.2
+        assert hashlib.sha256(write_trace_csv(ep.trace).encode()).hexdigest() == (
+            "888a38294991e35a94ea22179b419a2ec6c65092937cae9e02ad4c064a3a19a8"
+        )
+
 class TestFleets:
     def test_fleet_matches_individual_episodes(self):
         cfg, pre, _ = builtin_presets()
@@ -358,6 +379,27 @@ class TestConfigFile:
             f"error: {config}: obstacle 0 must have finite x, y and radius\n"
         )
         assert list(fleet.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, message",
+        [
+            (r"\Z", "dt 0.1\n", "line 13: expected 'key = value'"),
+            (r"\Z", "pre.gain = 1\n", "line 13: unknown policy key 'pre.gain'"),
+            (r"\Z", "dt = 0.2\n", "line 13: duplicate key 'dt'"),
+            (r"\Z", "pre.noise_std = 99\n", "line 13: duplicate key 'pre.noise_std'"),
+            (r"^dt = .*$", "dt = fast", "bad number for 'dt': 'fast'"),
+            (r"^goal_sampler = .*$", "goal_sampler = 2025,1.6",
+             "goal_sampler needs 'seed,min_radius,max_radius'"),
+            (r"^angular_menu = .*$", "angular_menu = a,b,c,d,e",
+             "bad config value: could not convert string to float: 'a'"),
+            (r"^pre\.turn_smoothing = .*\n", "", "policy 'pre' missing keys: turn_smoothing"),
+        ],
+    )
+    def test_reader_faults_named_exactly(self, pattern, replacement, message):
+        cfg, pre, _ = builtin_presets()
+        text = re.sub(pattern, replacement, format_config(cfg, {"pre": pre}), flags=re.M)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
 
     def test_missing_scenario_keys_reported(self):
         with pytest.raises(ConfigError, match="missing scenario keys"):

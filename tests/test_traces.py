@@ -150,6 +150,22 @@ class TestCsvLoader:
         assert (err.value.message, err.value.row, err.value.column) == (message, row, column)
 
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("", "empty file"),
+            ("\n\n", "empty file"),
+            ("time,speed\n0,1\n\n1,2\n", "row 3: blank line inside data"),
+            ("time,speed,speed\n0,1,1\n1,2,2\n", "row 1, column 3: duplicate column 'speed'"),
+            (b"time,speed\n0,\xff\n1,2\n", "not valid UTF-8: 'utf-8' codec can't decode "
+             "byte 0xff in position 13: invalid start byte"),
+        ],
+    )
+    def test_file_faults_named_exactly(self, data, message):
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(data, SPEC)
+        assert str(err.value) == message
+
 class TestJsonLoader:
     def test_basic_load(self):
         trace = load_trace_json('{"id":"t1","dt":0.1,"signals":{"x":[0,0.1,0.2]}}', SPEC)
@@ -209,6 +225,26 @@ class TestJsonLoader:
         data = '{"id":"t","dt":1,"signals":{"x":[0,%s,2]}}' % ("9" * 5000)
         with pytest.raises(TraceError, match="^invalid JSON: Exceeds the limit"):
             load_trace_json(data, SPEC)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ('[1, 2]', "top-level JSON value must be an object"),
+            ('{"dt":1,"signals":{"x":[0,1]}}', "missing field 'id'"),
+            ('{"id":"t","signals":{"x":[0,1]}}', "missing field 'dt'"),
+            ('{"id":"t","dt":1}', "missing field 'signals'"),
+            ('{"id":7,"dt":1,"signals":{"x":[0,1]}}', "field 'id' must be a string"),
+            ('{"id":"t","dt":"1","signals":{"x":[0,1]}}', "field 'dt' must be a number"),
+            ('{"id":"t","dt":true,"signals":{"x":[0,1]}}', "field 'dt' must be a number"),
+            ('{"id":"t","dt":1,"signals":{}}', "field 'signals' must be a non-empty object"),
+            ('{"id":"t","dt":1,"signals":[[0,1]]}', "field 'signals' must be a non-empty object"),
+            ('{"id":"t","dt":1,"signals":{"x":"0,1"}}', "signal 'x' must be an array"),
+        ],
+    )
+    def test_document_faults_named_exactly(self, data, message):
+        with pytest.raises(TraceError) as err:
+            load_trace_json(data, SPEC)
+        assert str(err.value) == message
 
     def test_check_exits_two_on_huge_integer(self, tmp_path, capsys):
         spec = tmp_path / "r.stl"
