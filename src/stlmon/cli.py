@@ -192,10 +192,11 @@ def _ordered_map(job, items) -> list:
     a job is raised here after the results of the chunks before it: the
     first fault in item order is the one raised. The chunks the workers
     have already taken then finish, the rest are cancelled, and no worker
-    is killed; a worker that dies raises BrokenProcessPool. The workers
-    are forked: a spawned one would first start an interpreter and import
-    numpy, 0.13 s on a 2-vCPU Xeon, where one process scores the 1,000
-    traces of a preset fleet in about 0.8 s."""
+    is killed; a worker that dies raises BrokenProcessPool, which `run`
+    reports with exit code 2. The workers are forked: a spawned one would
+    first start an interpreter and import numpy, 0.13 s on a 2-vCPU Xeon,
+    where one process scores the 1,000 traces of a preset fleet in about
+    0.8 s."""
     workers = _cpu_count()
     size = -(-len(items) // (8 * workers))
     if workers == 1 or size >= len(items) or not hasattr(os, "fork"):
@@ -529,6 +530,16 @@ def run(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (CliError, EvalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except RuntimeError as exc:
+        # A pool worker died. Its class is imported with the pool, which
+        # `check` never starts.
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        sys.stderr.write(f"error: {args.command}: a worker process died "
+                         f"({type(exc).__name__}: {exc})\n")
         return 2
 
 

@@ -6,20 +6,19 @@ A trace is a uniformly sampled record of named channels over one episode.
 Loaders validate shape and typing eagerly so the engine can assume clean
 data; loaded arrays are frozen (read-only) and safe to share.
 
-Both codecs work a whole column at a time. The CSV loader transposes the
-rows, the JSON loader takes each signal's array, and both decode each
-column in one pass through `_decode_column`; the writer formats each
-column from one `tolist()`. Each loader has one fault walk: when a column
-fails to decode, the walk visits the values in order and raises the first
-bad one with its row (`_raise_first_fault` for CSV, in row-major order
-and with the column; `_check_value` over the failed signal for JSON).
-A walk builds no trace.
+Both codecs decode in bulk. The CSV loader reads the whole body with one
+`np.loadtxt` call (numpy's C text reader) and takes each column from the
+resulting table; the JSON loader decodes each signal's array in one pass
+through `_decode_column`; the writer formats each column from one
+`tolist()`. Each loader has one fault walk: when the bulk decode fails,
+the walk visits the values in order and raises the first bad one with
+its row (`_raise_first_fault` for CSV, in row-major order and with the
+column; `_check_value` over the failed signal for JSON). A walk builds
+no trace.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections.abc import Callable
@@ -112,8 +111,13 @@ def _decode(data: Union[bytes, str]) -> str:
 def _check_cell(cell: str, decl, row: int, column: int) -> None:
     """Raise the TraceError for a bad cell; `decl` is None for the time column."""
     if decl is None or decl.kind is SignalKind.REAL:
+        # What numpy's reader parses: float() of the stripped text, less the
+        # `_` separators and non-ASCII digits that float() alone accepts.
+        text = cell.strip()
         try:
-            value = float(cell)
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
+            value = float(text)
         except ValueError:
             what = "time" if decl is None else "real"
             raise TraceError(f"bad {what} value {cell!r}", row=row, column=column) from None
@@ -126,39 +130,41 @@ def _check_cell(cell: str, decl, row: int, column: int) -> None:
         raise TraceError(f"undeclared variant {cell!r}", row=row, column=column)
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return values
+def _variant_indices(decl) -> dict[str, int]:
+    return {v: decl.enum_variants.index(v) for v in decl.enum_variants}
 
 
-def _csv_reals(cells) -> np.ndarray:
-    return _finite(np.array(list(map(float, cells))))
-
-
-def _json_reals(values: list) -> np.ndarray:
-    if not set(map(type, values)) <= {int, float}:  # bool is neither
-        raise TypeError("not a number")
-    # an integer past the double range raises OverflowError, as float() does
-    return _finite(np.array(values, dtype=np.float64))
-
-
-def _decode_column(decl, cells, reals: Callable, bools: dict) -> Series:
-    """One column as a Series, real cells through `reals` and bool cells
-    through `bools`; raises ValueError, KeyError, TypeError or
-    OverflowError on any bad cell."""
+def _decode_column(decl, values: list) -> Series:
+    """One JSON signal as a Series; raises ValueError, KeyError, TypeError
+    or OverflowError on any bad value."""
     if decl.kind is SignalKind.REAL:
-        return Series(decl.kind, reals(cells))
+        if not set(map(type, values)) <= {int, float}:  # bool is neither
+            raise TypeError("not a number")
+        # an integer past the double range raises OverflowError, as float() does
+        reals = np.array(values, dtype=np.float64)
+        if not np.isfinite(reals).all():
+            raise ValueError("non-finite value")
+        return Series(decl.kind, reals)
     if decl.kind is SignalKind.BOOL:
-        return Series(decl.kind, np.array(list(map(bools.__getitem__, cells)), dtype=np.bool_))
-    lookup = {v: decl.enum_variants.index(v) for v in decl.enum_variants}
-    indices = np.array(list(map(lookup.__getitem__, cells)), dtype=np.int64)
+        return Series(decl.kind, np.array(list(map(_BOOL_VALUES.__getitem__, values)), dtype=np.bool_))
+    indices = np.array(list(map(_variant_indices(decl).__getitem__, values)), dtype=np.int64)
     return Series(decl.kind, indices, decl.enum_variants)
 
 
-def _raise_first_fault(body: list[list[str]], decls, width: int) -> None:
+def _table_column(decl, values: np.ndarray) -> Series:
+    """One column of the decoded CSV table as a Series: bool cells were
+    read as 0 or 1, enum cells as their variant index."""
+    if decl.kind is SignalKind.REAL:
+        return Series(decl.kind, values)
+    if decl.kind is SignalKind.BOOL:
+        return Series(decl.kind, values != 0)
+    return Series(decl.kind, values.astype(np.int64), decl.enum_variants)
+
+
+def _raise_first_fault(body: list[str], decls, width: int) -> None:
     """Raise the TraceError of the first bad row or cell in row-major order."""
-    for i, row in enumerate(body, start=2):
+    for i, line in enumerate(body, start=2):
+        row = line.split(",")
         if len(row) != width:
             raise TraceError(f"malformed row: expected {width} cells, got {len(row)}", row=i)
         for j, (decl, cell) in enumerate(zip([None, *decls], row), start=1):
@@ -168,19 +174,19 @@ def _raise_first_fault(body: list[list[str]], decls, width: int) -> None:
 def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str = "trace") -> Trace:
     """Load a trace from CSV text with header `time,<signal>...`.
 
+    Lines end with LF, CRLF or a bare CR. Cells are not quoted.
     dt is inferred from the first gap; every later gap must match it to
     within UNIFORMITY_TOL (relative).
     """
-    rows = list(csv.reader(io.StringIO(_decode(data))))
-    while rows and not rows[-1]:  # trailing blank lines
-        rows.pop()
-    for i, row in enumerate(rows, start=1):
-        if not row:
-            raise TraceError("blank line inside data", row=i)
-    if not rows:
+    lines = _decode(data).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    while lines and not lines[-1]:  # trailing blank lines
+        lines.pop()
+    if "" in lines:
+        raise TraceError("blank line inside data", row=lines.index("") + 1)
+    if not lines:
         raise TraceError("empty file")
-    header = rows[0]
-    if not header or header[0] != "time":
+    header = lines[0].split(",")
+    if header[0] != "time":
         raise TraceError("first column must be 'time'", row=1, column=1)
     decls = []
     for j, name in enumerate(header[1:], start=2):
@@ -191,21 +197,26 @@ def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str =
             raise TraceError(f"duplicate column '{name}'", row=1, column=j)
         decls.append(decl)
 
-    body = rows[1:]
+    body = lines[1:]
     if len(body) < 2:
         raise TraceError("fewer than 2 rows")
+    # Bool and enum cells go through a lookup: a missing key fails the read.
+    converters = {
+        j: (_BOOL_CELLS if d.kind is SignalKind.BOOL else _variant_indices(d)).__getitem__
+        for j, d in enumerate(decls, start=1)
+        if d.kind is not SignalKind.REAL
+    }
     try:
-        if set(map(len, body)) != {len(header)}:
-            raise ValueError("malformed row")
-        columns = list(zip(*body))
-        times = _csv_reals(columns[0])
-        channels = {
-            d.name: _decode_column(d, cells, _csv_reals, _BOOL_CELLS)
-            for d, cells in zip(decls, columns[1:])
-        }
-    except (ValueError, KeyError):
+        # encoding=None hands converters str, not bytes, before numpy 2
+        table = np.loadtxt(body, delimiter=",", comments=None, converters=converters,
+                           ndmin=2, encoding=None)
+        if table.shape != (len(body), len(header)) or not np.isfinite(table).all():
+            raise ValueError("bad table")
+    except ValueError:
         _raise_first_fault(body, decls, len(header))
         raise  # the walk found no fault: the decoder and the walk disagree
+    times, *columns = table.T.copy()  # each column contiguous
+    channels = {d.name: _table_column(d, values) for d, values in zip(decls, columns)}
 
     dt = float(times[1]) - float(times[0])
     if dt <= 0:
@@ -286,7 +297,7 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
         elif len(values) != n:
             raise TraceError("ragged signals")
         try:
-            channels[name] = _decode_column(decl, values, _json_reals, _BOOL_VALUES)
+            channels[name] = _decode_column(decl, values)
         except (ValueError, KeyError, TypeError, OverflowError):
             for row, v in enumerate(values, start=1):
                 _check_value(v, decl, name, row)

@@ -7,6 +7,8 @@ so agreement is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -46,6 +48,7 @@ from stlmon import (
     Until,
     format_number,
 )
+from stlmon.traces import UNIFORMITY_TOL
 
 # Shared signal palette for random formulas/traces.
 PALETTE = (
@@ -97,7 +100,7 @@ def naive_until(lhs, rhs, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Per-cell trace CSV writer and per-value JSON decoder
+# Per-cell trace CSV writer, csv.reader CSV decoder and per-value JSON decoder
 # ---------------------------------------------------------------------------
 
 def percell_csv(trace: Trace) -> str:
@@ -116,6 +119,81 @@ def percell_csv(trace: Trace) -> str:
                 cells.append(series.variants[int(series.values[i])])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def csvreader_csv(text: str, spec: Specification) -> dict[str, np.ndarray]:
+    """The columns of a trace CSV, `time` first, read with `csv.reader` and
+    checked one cell at a time in row-major order, then checked for uniform
+    sampling; raises the loader's TraceError for the first fault.
+
+    `csv.reader` unquotes a quoted cell and takes a bare CR inside a line
+    as an error. `float` reads `_` separators and non-ASCII digits, but
+    not a number next to \x1c-\x1f, which `str.isspace` calls whitespace.
+    The loader differs in each, so inputs holding `"`, a bare CR, `_`, a
+    non-ASCII digit or \x1c-\x1f are outside the comparison."""
+    rows = list(csv.reader(io.StringIO(text)))
+    while rows and not rows[-1]:
+        rows.pop()
+    for i, row in enumerate(rows, start=1):
+        if not row:
+            raise TraceError("blank line inside data", row=i)
+    if not rows:
+        raise TraceError("empty file")
+    header = rows[0]
+    if header[0] != "time":
+        raise TraceError("first column must be 'time'", row=1, column=1)
+    decls = []
+    for j, name in enumerate(header[1:], start=2):
+        decl = spec.signal(name)
+        if decl is None:
+            raise TraceError(f"unknown column '{name}'", row=1, column=j)
+        if any(d.name == name for d in decls):
+            raise TraceError(f"duplicate column '{name}'", row=1, column=j)
+        decls.append(decl)
+    if len(rows) < 3:
+        raise TraceError("fewer than 2 rows")
+
+    columns = [[] for _ in header]
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise TraceError(f"malformed row: expected {len(header)} cells, got {len(row)}", row=i)
+        for j, (decl, cell) in enumerate(zip([None, *decls], row)):
+            if decl is None or decl.kind is SignalKind.REAL:
+                try:
+                    v = float(cell)
+                except ValueError:
+                    what = "time" if decl is None else "real"
+                    raise TraceError(f"bad {what} value {cell!r}", row=i, column=j + 1) from None
+                if not math.isfinite(v):
+                    raise TraceError(f"non-finite value {cell!r}", row=i, column=j + 1)
+            elif decl.kind is SignalKind.BOOL:
+                if cell not in ("true", "1", "false", "0"):
+                    raise TraceError(f"bad bool value {cell!r}", row=i, column=j + 1)
+                v = cell in ("true", "1")
+            else:
+                if cell not in decl.enum_variants:
+                    raise TraceError(f"undeclared variant {cell!r}", row=i, column=j + 1)
+                v = decl.enum_variants.index(cell)
+            columns[j].append(v)
+
+    times = columns[0]
+    dt = times[1] - times[0]
+    if dt <= 0:
+        raise TraceError("times not strictly increasing", row=3)
+    if not math.isfinite(dt):
+        raise TraceError("non-finite dt")
+    gaps = [b - a for a, b in zip(times, times[1:])]  # gap k ends at file row k + 3
+    for k, gap in enumerate(gaps):
+        if gap <= 0:
+            raise TraceError("times not strictly increasing", row=k + 3)
+    for k, gap in enumerate(gaps):
+        if abs(gap - dt) / dt > UNIFORMITY_TOL:
+            raise TraceError("non-uniform sampling", row=k + 3)
+    dtypes = {SignalKind.REAL: np.float64, SignalKind.BOOL: np.bool_, SignalKind.ENUM: np.int64}
+    out = {"time": np.array(times, dtype=np.float64)}
+    for decl, values in zip(decls, columns[1:]):
+        out[decl.name] = np.array(values, dtype=dtypes[decl.kind])
+    return out
 
 
 def pervalue_json(text: str, spec: Specification) -> dict[str, np.ndarray]:

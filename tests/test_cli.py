@@ -854,8 +854,10 @@ class TestPoolFaults:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
             pytest.fail("report still waiting on a dead worker after 60 s")
-        assert proc.returncode != 0
+        assert proc.returncode == 2
         assert "BrokenProcessPool" in err
+        assert err.startswith("error: report: a worker process died (BrokenProcessPool: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestEntryPoints:
@@ -992,6 +994,26 @@ class TestCheckOutputContract:
         assert captured.out == ""
         assert captured.err == f"error: {trace}: row 4, column 1: non-finite value 'nan'\n"
         assert not profiles.exists()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("time,x\n0,1\r2\n1,2\n", "row 3: malformed row: expected 2 cells, got 1"),
+            ("time,x\n0,1\n1,%s\n" % ("z" * 131073),
+             "row 3, column 2: bad real value '%s'" % ("z" * 131073)),
+        ],
+        ids=["bare_cr", "cell_over_csv_field_limit"],
+    )
+    def test_csv_reader_faults_are_trace_errors(self, tmp_path, capsys, text, error):
+        """Inputs that `csv.reader` refused with its own exception."""
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: x > 0\n")
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(text.encode())
+        assert run(["check", str(spec), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {trace}: {error}\n"
 
     def test_profile_csv_pins_its_layout(self, tmp_path):
         spec = tmp_path / "r.stl"

@@ -29,6 +29,7 @@ from stlmon.cli import run
 from stlmon.traces import write_columns_csv
 from reference import (
     PALETTE_SPEC,
+    csvreader_csv,
     expr_at,
     percell_csv,
     pervalue_json,
@@ -101,6 +102,14 @@ class TestCsvLoader:
         trace = load_trace_csv(b"time,speed\r\n0,850\r\n1,870\r\n", SPEC)
         assert len(trace) == 2
 
+    def test_cr_only_line_endings_load(self):
+        text = "time,speed,done\n0,850,true\n1,870,0\n"
+        trace = load_trace_csv(text.replace("\n", "\r"), SPEC)
+        want = load_trace_csv(text, SPEC)
+        assert trace.times.tobytes() == want.times.tobytes()
+        for name, series in want.channels.items():
+            assert trace.channels[name].values.tobytes() == series.values.tobytes()
+
     def test_bad_bool_cell(self):
         with pytest.raises(TraceError, match="bad bool value"):
             load_trace_csv("time,done\n0,yes\n1,no\n", SPEC)
@@ -142,6 +151,12 @@ class TestCsvLoader:
             ),
             ("time,speed,x\n0,1,2\nbad,2,inf\n", "bad time value 'bad'", 3, 1),
             ("time,speed,x\n0,1,2\n1,nan,bad\n", "non-finite value 'nan'", 3, 2),
+            # real cells are ASCII numbers without `_` separators, and unquoted
+            ("time,speed\n0,1\n1,1_0\n", "bad real value '1_0'", 3, 2),
+            ("time,speed\n0,1\n1,\u0661\u0662\n", "bad real value '\u0661\u0662'", 3, 2),
+            ("time,speed\n0,1\n\u0661,2\n", "bad time value '\u0661'", 3, 1),
+            ('time,speed\n0,"1"\n1,2\n', "bad real value '\"1\"'", 2, 2),
+            ('time,done\n0,"true"\n1,false\n', "bad bool value '\"true\"'", 2, 2),
         ],
     )
     def test_first_fault_named_exactly(self, text, message, row, column):
@@ -375,6 +390,109 @@ class TestJsonColumnPass:
                 faulty += 1
             self.assert_matches_reference(signals)
         assert 100 < faulty < 500  # both outcomes are exercised
+
+
+# What a mutation of a trace CSV inserts, puts in place of a cell, or puts
+# around a cell. They leave out `"`, a bare CR, `_`, non-ASCII digits and
+# the separators \x1c-\x1f, which the loader reads differently from
+# `csv.reader` and `float` (see `reference.csvreader_csv`).
+_CSV_INSERTS = [",", "\n", " ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x85",
+                "#", "'", "e", "E", ".", "-", "+", "0", "7", "x", "\xb2"]
+_CSV_CELLS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400",
+              "+1.5e3", "-2E-3", ".5", "5.", "-0", "+0", "0x10", "", "1e", "--1", "1 2",
+              "true", "false", "1", "0", "True", "alpha", "beta", "gamma", "delta", "Alpha"]
+_CSV_SPACES = [" ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x85"]
+
+
+def _mutated_csv(rng: random.Random) -> str:
+    """A random trace of some of the palette's signals, written by
+    `write_columns_csv`, then mutated up to three times."""
+    trace = random_trace(rng, dt=rng.choice((1.0, 0.5, 0.25)), max_len=12)
+    names = rng.sample(list(trace.channels), rng.randrange(5))
+    text = write_columns_csv(trace.times, {name: trace.channels[name] for name in names})
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        op = rng.randrange(6)
+        if op == 0:  # insert a character or token anywhere
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(_CSV_INSERTS) + text[at:]
+            continue
+        lines = text.split("\n")
+        i = rng.randrange(len(lines))
+        cells = lines[i].split(",")
+        k = rng.randrange(len(cells))
+        if op == 1:
+            cells[k] = rng.choice(_CSV_CELLS)
+        elif op == 2:  # surrounding whitespace
+            cells[k] = rng.choice(_CSV_SPACES) + cells[k] + rng.choice(_CSV_SPACES)
+        elif op == 3:  # a sign
+            cells[k] = rng.choice("+-") + cells[k]
+        elif op == 4:
+            cells.append("")  # a trailing comma
+        lines[i] = ",".join(cells)
+        if op == 5:  # a blank, whitespace-only or repeated line
+            lines.insert(i, rng.choice(["", " ", "\xa0", lines[i]]))
+        text = "\n".join(lines)
+    return text.replace("\n", "\r\n") if rng.random() < 0.25 else text
+
+
+class TestCsvAgainstCsvReader:
+    """The loader gives what `reference.csvreader_csv`, a `csv.reader`
+    loader that checks one cell at a time, gives: the same arrays, dtype
+    and bytes, or the same first fault."""
+
+    def assert_matches_reference(self, text: str):
+        try:
+            want = csvreader_csv(text, PALETTE_SPEC)
+        except TraceError as expected:
+            with pytest.raises(TraceError) as got:
+                load_trace_csv(text, PALETTE_SPEC)
+            assert str(got.value) == str(expected), text
+            return
+        trace = load_trace_csv(text, PALETTE_SPEC)
+        got = {"time": trace.times, **{name: s.values for name, s in trace.channels.items()}}
+        assert list(got) == list(want), text
+        for name, values in want.items():
+            assert (got[name].dtype, got[name].tobytes()) == (values.dtype, values.tobytes()), text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,x,b,m\r\n0,1.5,true,beta\r\n1,-2,0,gamma\r\n",
+            "time,x\n0,1\n1,2\n\n\n",
+            "time,x\n0,1\n\n1,2\n",
+            "time,x\n0,1\n \n1,2\n",
+            "time\n0\n\t\n1\n",
+            "time,x\n0,1,\n1,2,\n",
+            "time,x,\n0,1\n1,2\n",
+            "time,x\n+0,-1\n+1,+2\n",
+            "time,x\n0,1.5e-3\n1E0,-2.5E+3\n",
+            "time,x\n0,-0\n1,1e-400\n",
+            "time,x\n0,1\n1,1e400\n",
+            "time,x\n0,-nan\n1,2\n",
+            "time,x\n0,1\n1,-Infinity\n",
+            "time,x,y\n 0 ,\t1\t\n1\xa0,\u20032\u3000\n",
+            "time,x\n\xa00 ,1\n1,x\n",  # the walk passes the padded cell
+            "time,x\n\x0b0\x0c,\x851\n1,2\n",
+            "time,b\n0, true\n1,false\n",
+            "time,m\n0,alpha \n1,beta\n",
+            "time,x\n0,1\xa02\n1,2\n",
+            "time,x\n0,1 2\n1,2\n",
+        ],
+    )
+    def test_pinned_payload(self, text):
+        self.assert_matches_reference(text)
+
+    def test_random_payloads(self):
+        rng = random.Random(17)
+        faulty = 0
+        for _ in range(2000):
+            text = _mutated_csv(rng)
+            try:
+                csvreader_csv(text, PALETTE_SPEC)
+            except TraceError:
+                faulty += 1
+            self.assert_matches_reference(text)
+        assert 500 < faulty < 1500  # both outcomes are exercised
 
 
 class TestCsvRoundTrip:
