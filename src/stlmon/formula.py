@@ -1,7 +1,7 @@
 """Formula AST for the rule language: signal declarations, signal
 expressions, predicates, temporal formulas and printing.
 
-All nodes are immutable (frozen dataclasses) and compare structurally,
+All nodes are immutable records (`_Record`) and compare structurally,
 so formulas can be shared freely across concurrent evaluators and used
 as dict keys. A parsed specification has been checked by the parser;
 the only check the AST makes itself is that every `Interval` is legal,
@@ -11,10 +11,11 @@ starts before the sample or ends before it begins.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 UNBOUNDED = math.inf
@@ -24,6 +25,102 @@ UNBOUNDED = math.inf
 KEYWORDS = frozenset(
     {"signal", "rule", "real", "bool", "enum", "G", "F", "U", "inf", "true", "false"}
 )
+
+
+def _comparison(fields: tuple[str, ...]):
+    """`__eq__` and `__hash__` over a record's fields, compared as a tuple
+    (so a field equals itself even when it is NaN)."""
+    # attrgetter returns a tuple for two or more names, so a lone field
+    # is read twice.
+    names = fields * 2 if len(fields) == 1 else fields
+    key = attrgetter(*names) if names else lambda record: ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    return __eq__, __hash__
+
+
+_set_field = object.__setattr__  # bypasses the records' own, which refuses
+_REQUIRED = object()  # the default of a field that has none
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass's fields are its own annotated names, in order, after its
+    bases' fields; a class attribute of the same name is the field's
+    default. Records are built positionally or by keyword, run
+    `__post_init__` if the class defines one, print as
+    `Name(field=value, ...)`, refuse assignment and pickle by their
+    fields. Equal records are of the same class with equal fields, and
+    hash alike. A class declared with `eq=False` keeps the equality it
+    inherits: identity for a direct subclass of `_Record`.
+
+    The methods are written once here; `@dataclass` would generate and
+    compile them from source for every class at every import.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()  # per field: its default, or _REQUIRED
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = inspect.get_annotations(cls)  # this class's own, not its bases'
+        cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._defaults = defaults = tuple(getattr(cls, name, _REQUIRED) for name in fields)
+        # a positional call needs at least the fields up to the last required one
+        cls._required = max((i + 1 for i, d in enumerate(defaults) if d is _REQUIRED), default=0)
+        cls._has_post_init = hasattr(cls, "__post_init__")
+        cls.__match_args__ = fields
+        if eq:
+            cls.__eq__, cls.__hash__ = _comparison(fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not self._required <= len(args) <= len(self._fields):
+            args = self._bind(args, kwargs)
+        else:
+            args += self._defaults[len(args):]
+        for name, value in zip(self._fields, args):
+            _set_field(self, name, value)
+        if self._has_post_init:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call that leaves out fields or
+        names them."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, not {len(args)}")
+        values = [*args, *cls._defaults[len(args):]]
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            i = fields.index(key)
+            if i < len(args):
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[i] = value
+        for field, value in zip(fields, values):
+            if value is _REQUIRED:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        return values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 def format_number(value: float) -> str:
     """Shortest decimal form that parses back to the same float.
@@ -48,15 +145,13 @@ class SignalKind(Enum):
     ENUM = "enum"
 
 
-@dataclass(frozen=True)
-class SignalDecl:
+class SignalDecl(_Record):
     name: str
     kind: SignalKind
     enum_variants: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record):
     """Time window [lo, hi] in the trace's time unit; hi may be UNBOUNDED."""
 
     lo: float
@@ -85,33 +180,28 @@ class Interval:
 # Signal expressions (the arithmetic layer inside comparison predicates)
 # ---------------------------------------------------------------------------
 
-class SignalExpr:
+class SignalExpr(_Record):
     pass
 
 
-@dataclass(frozen=True)
 class SignalRef(SignalExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class Constant(SignalExpr):
     value: float
 
 
-@dataclass(frozen=True)
 class Abs(SignalExpr):
     child: SignalExpr
 
 
-@dataclass(frozen=True)
 class Deriv(SignalExpr):
     """Backward-difference rate of change of a real signal."""
 
     name: str
 
 
-@dataclass(frozen=True)
 class _BinaryExpr(SignalExpr):
     lhs: SignalExpr
     rhs: SignalExpr
@@ -144,25 +234,22 @@ class CmpOp(Enum):
     GE = ">="
 
 
-class Predicate:
+class Predicate(_Record):
     pass
 
 
-@dataclass(frozen=True)
 class Compare(Predicate):
     lhs: SignalExpr
     op: CmpOp
     rhs: SignalExpr
 
 
-@dataclass(frozen=True)
 class EnumEq(Predicate):
     signal: str
     variant: str
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class BoolIs(Predicate):
     signal: str
     expected: bool = True
@@ -176,25 +263,22 @@ class BoolIs(Predicate):
 # how tightly it binds (loosest 0). The parser and the printer read both
 # from here. Binary operators associate left, except `->` (the loosest).
 
-class Formula:
+class Formula(_Record):
     pass
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     prec = 5
 
     predicate: Predicate
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     op, prec = "!", 4
 
     child: Formula
 
 
-@dataclass(frozen=True)
 class _BinaryFormula(Formula):
     lhs: Formula
     rhs: Formula
@@ -212,7 +296,6 @@ class Implies(_BinaryFormula):
     op, prec = "->", 0
 
 
-@dataclass(frozen=True)
 class _TemporalUnary(Formula):
     prec = 4
 
@@ -228,7 +311,6 @@ class Eventually(_TemporalUnary):
     op = "F"
 
 
-@dataclass(frozen=True)
 class Until(Formula):
     op, prec = "U", 3
 
@@ -241,14 +323,12 @@ class Until(Formula):
 # Specification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     name: str
     formula: Formula
 
 
-@dataclass(frozen=True)
-class Specification:
+class Specification(_Record):
     declarations: tuple[SignalDecl, ...]
     rules: tuple[Rule, ...]
 

@@ -15,9 +15,9 @@ otherwise the normal approximation with tie and continuity corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
+from .formula import _Record
 from .robustness import RobustnessResult
 
 EXACT_METHOD = "exact"
@@ -28,8 +28,7 @@ NORMAL_METHOD = "normal_approx"
 EXACT_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class FleetReport:
+class FleetReport(_Record):
     rule_name: str
     n_traces: int
     satisfaction_pct: float
@@ -38,8 +37,7 @@ class FleetReport:
     rho_values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(_Record):
     rule_name: str
     u_statistic: float
     p_value: float
@@ -49,10 +47,13 @@ class CompareReport:
     alpha: float
 
 
-class MannWhitneyResult(NamedTuple):
+class MannWhitneyResult(_Record):
     u_statistic: float
     p_value: float
     method: str
+
+    def __iter__(self):  # unpacks as `u, p, method = mann_whitney_u(a, b)`
+        return iter((self.u_statistic, self.p_value, self.method))
 
 
 def fleet_report(rule_name: str, results: Sequence[RobustnessResult]) -> FleetReport:

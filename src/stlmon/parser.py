@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .formula import (
     KEYWORDS,
@@ -55,11 +54,11 @@ from .formula import (
     Specification,
     Sub,
     Until,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Record):
     line: int
     column: int
     length: int = 1
@@ -79,8 +78,7 @@ class ParseError(Exception):
         return text
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Record):
     kind: str  # "keyword" | "ident" | "number" | "op" | "eof"
     text: str
     span: SourceSpan

@@ -47,7 +47,6 @@ message as when that trace is evaluated alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,6 +76,7 @@ from .formula import (
     Sub,
     Until,
     _BinaryExpr,
+    _Record,
     _TemporalUnary,
 )
 from .traces import EvalError, SignalKind, Trace, channel
@@ -100,15 +100,13 @@ class Verdict(Enum):
         return Verdict.EXACTLY_SATISFIED
 
 
-@dataclass(frozen=True)
-class RobustnessResult:
+class RobustnessResult(_Record):
     rule_name: str
     rho: float
     verdict: Verdict
 
 
-@dataclass(frozen=True, eq=False)
-class RobustnessProfile(RobustnessResult):
+class RobustnessProfile(RobustnessResult, eq=False):
     """A rule's result with its per-node robustness series, keyed by path
     from the root formula.
 

@@ -19,11 +19,10 @@ time column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .formula import SignalKind
+from .formula import SignalKind, _Record
 from .traces import Series, Trace
 
 GOAL_RADIUS = 0.2  # meters; reaching within this ends the episode
@@ -73,22 +72,19 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-@dataclass(frozen=True)
-class Obstacle:
+class Obstacle(_Record):
     x: float
     y: float
     radius: float
 
 
-@dataclass(frozen=True)
-class GoalSampler:
+class GoalSampler(_Record):
     seed: int
     min_radius: float
     max_radius: float
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     map_half_extent: float
     obstacles: tuple[Obstacle, ...]
     goal_sampler: GoalSampler
@@ -126,8 +122,7 @@ class ScenarioConfig:
             raise ConfigError("goal radii must be finite and satisfy 0 <= min <= max")
 
 
-@dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(_Record):
     turn_gain: float
     noise_std: float
     repulsion_gain: float
@@ -146,8 +141,7 @@ class PolicyParams:
             raise ConfigError("repulsion_range must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class EpisodeRecord:
+class EpisodeRecord(_Record, eq=False):
     trace: Trace
     seed: int
     goal: tuple[float, float]
@@ -350,8 +344,8 @@ def builtin_presets() -> tuple[ScenarioConfig, PolicyParams, PolicyParams]:
 # Plain key-value configuration files
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
-_POLICY_KEYS = {f.name for f in fields(PolicyParams)}
+_SCENARIO_KEYS = set(ScenarioConfig._fields)
+_POLICY_KEYS = set(PolicyParams._fields)
 
 
 def parse_config_text(text: str) -> tuple[ScenarioConfig, dict[str, PolicyParams]]:

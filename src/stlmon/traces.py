@@ -22,12 +22,11 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .formula import SignalKind, Specification, format_number
+from .formula import SignalKind, Specification, _Record, format_number
 
 # Successive sample gaps may deviate from dt by at most this relative amount.
 UNIFORMITY_TOL = 1e-6
@@ -50,8 +49,7 @@ class EvalError(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Series:
+class Series(_Record, eq=False):
     kind: SignalKind
     values: np.ndarray  # float64 (real), bool_ (bool), or int64 variant indices (enum)
     variants: tuple[str, ...] = ()
@@ -60,8 +58,7 @@ class Series:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(_Record, eq=False):
     id: str
     dt: float
     times: np.ndarray
@@ -74,11 +71,12 @@ class Trace:
             raise TraceError("non-finite dt")
         if self.dt <= 0:
             raise TraceError("nonpositive dt")
-        gaps = np.diff(self.times)
+        with np.errstate(over="ignore"):  # an overflow is an infinite gap, caught below
+            gaps = np.diff(self.times)
+            rel = np.abs(gaps - self.dt) / self.dt
         if np.any(gaps <= 0):
             bad = int(np.argmax(gaps <= 0))
             raise TraceError("times not strictly increasing", row=bad + 2)
-        rel = np.abs(gaps - self.dt) / self.dt
         if np.any(rel > UNIFORMITY_TOL):
             bad = int(np.argmax(rel > UNIFORMITY_TOL))
             raise TraceError("non-uniform sampling", row=bad + 2)
@@ -305,7 +303,8 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
 
     if n is None or n < 2:
         raise TraceError("fewer than 2 samples")
-    times = np.arange(n, dtype=np.float64) * dt
+    with np.errstate(over="ignore"):  # past the largest double, Trace finds the gap
+        times = np.arange(n, dtype=np.float64) * dt
     return Trace(obj["id"], dt, times, channels)
 
 

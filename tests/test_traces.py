@@ -303,6 +303,49 @@ class TestJsonLoader:
         assert captured.err == f"error: {trace}: {message}\n"
 
 
+class TestSamplingOverflow:
+    """Sampling that overflows a double is named like any other bad
+    sampling, without a numpy warning first (warnings are errors here)."""
+
+    CSV = "time,x\n0,1\n1e308,2\n-1e308,3\n"
+    JSON = '{"id":"t","dt":1e308,"signals":{"x":[0,1,2]}}'
+
+    def test_csv_times_overflow(self):
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(self.CSV, SPEC)
+        assert str(err.value) == "row 4: times not strictly increasing"
+
+    def test_json_times_overflow(self):
+        with pytest.raises(TraceError) as err:
+            load_trace_json(self.JSON, SPEC)
+        assert str(err.value) == "row 3: non-uniform sampling"
+
+    def test_trace_gaps_overflow(self):
+        x = Series(SignalKind.REAL, np.zeros(3))
+        with pytest.raises(TraceError, match="^row 3: times not strictly increasing$"):
+            Trace("t", 1.0, np.array([0.0, 1e308, -1e308]), {"x": x})
+        with pytest.raises(TraceError, match="^row 2: non-uniform sampling$"):
+            Trace("t", 5e-324, np.array([0.0, 1.0, 2.0]), {"x": x})
+
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("t.csv", CSV, "row 4: times not strictly increasing"),
+            ("t.json", JSON, "row 3: non-uniform sampling"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_check_prints_one_line(self, tmp_path, capsys, name, data, message):
+        spec = tmp_path / "r.stl"
+        spec.write_text("signal x : real\nrule r: x > 0\n")
+        trace = tmp_path / name
+        trace.write_text(data)
+        assert run(["check", str(spec), str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {trace}: {message}\n"
+
+
 def _signals_json(signals: str) -> str:
     return '{"id":"t","dt":1,"signals":{%s}}' % signals
 
