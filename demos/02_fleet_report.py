@@ -42,7 +42,7 @@ def main():
 
     print(f"Rule: {report.rule_name}  (n={report.n_traces} traces)")
     print(f"  Satisfaction Percentage    {report.satisfaction_pct:.1f}%")
-    print(f"  TRV (average performance)  {report.trv:.1f}")
+    print(f"  TRV (sum of margins)       {report.trv:.1f}")
     print(f"  LRV (worst violation)      {report.lrv:.2f}")
 
     worst = min(range(len(results)), key=lambda i: results[i].rho)

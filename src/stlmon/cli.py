@@ -20,6 +20,7 @@ do not depend on the CPU count. `check` runs in this process.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -27,7 +28,6 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
-from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -78,10 +78,10 @@ def _writing(what: str):
 
 def builtin_spec_path(name: str) -> Path:
     """Path of a bundled specification file ('mario' or 'turtlebot')."""
-    path = resources.files("stlmon") / "specs" / f"{name}.stl"
+    path = Path(__file__).with_name("specs") / f"{name}.stl"
     if not path.is_file():
         raise CliError(f"no builtin specification '{name}'")
-    return Path(str(path))
+    return path
 
 
 def _load_spec(spec_arg: str) -> Specification:
@@ -108,7 +108,8 @@ def _trace_paths(directory: str) -> list[Path]:
     root = Path(directory)
     if not root.is_dir():
         raise CliError(f"not a directory: {directory}")
-    paths = sorted(p for p in root.iterdir() if p.suffix in (".csv", ".json"))
+    paths = sorted((p for p in root.iterdir() if p.suffix in (".csv", ".json")),
+                   key=lambda p: p.name)
     if not paths:
         raise CliError(f"no .csv or .json traces in {directory}")
     return paths
@@ -327,7 +328,7 @@ def _report_table(reports: list[FleetReport]) -> str:
     for r in reports:
         lines.append(f"Rule: {r.rule_name} (n={r.n_traces})")
         lines.append(f"  Satisfaction Percentage    {r.satisfaction_pct:.1f}%")
-        lines.append(f"  TRV (average performance)  {r.trv:.6g}")
+        lines.append(f"  TRV (sum of margins)       {r.trv:.6g}")
         lines.append(f"  LRV (worst violation)      {r.lrv:.6g}")
         lines.append("")
     return "\n".join(lines)
@@ -544,6 +545,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    gc.freeze()  # import's objects live to exit: no collection, shutdown's too, scans them
     sys.exit(run())
 
 

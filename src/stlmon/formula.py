@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from decimal import Decimal
 from enum import Enum
 from operator import attrgetter
 from typing import Optional
@@ -135,6 +134,8 @@ def format_number(value: float) -> str:
         return str(int(value))
     text = repr(float(value))
     if "e" in text or "E" in text:
+        from decimal import Decimal  # here, so that no CLI start-up pays for the import
+
         text = format(Decimal(text), "f")
     return text
 

@@ -1,5 +1,6 @@
 """End-to-end CLI fixtures: exit codes, report schema, output stability."""
 
+import gc
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stlmon
@@ -164,6 +166,19 @@ class TestReport:
         assert "Satisfaction Percentage" in out
         assert "TRV" in out and "LRV" in out
         assert "66.7%" in out
+
+    def test_traces_in_case_sensitive_file_name_order(self, workspace, tmp_path, capsys):
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        names = ["b.csv", "B.csv", "a10.csv", "a9.csv", "a.json", "a_1.csv", "a.csv"]
+        for rho, name in enumerate(names):
+            v = 900 - rho
+            (fleet / name).write_text(
+                f'{{"id": "j", "dt": 1, "signals": {{"speed": [{v}, {v}]}}}}'
+                if name.endswith(".json") else f"time,speed\n0,{v}\n1,{v}\n")
+        assert run(["report", str(workspace / "rules.stl"), str(fleet)]) == 0
+        rho = json.loads(capsys.readouterr().out)["speed_limit"]["rho"]
+        assert rho == [float(names.index(n)) for n in sorted(names)]
 
 
 class TestCompare:
@@ -879,6 +894,31 @@ class TestEntryPoints:
         for got in results[1:]:
             assert (got.returncode, got.stdout) == (expected.returncode, expected.stdout)
 
+    @pytest.mark.parametrize("trace, code", [("ok.csv", 0), ("bad.csv", 1), ("missing.csv", 2)])
+    def test_every_entry_form_freezes_the_start_up_heap(self, workspace, tmp_path, trace, code):
+        """`main` freezes what import built, whichever way the CLI starts;
+        the exit code and stdout are those of a run without the probe."""
+        hooks = tmp_path / "hooks"
+        hooks.mkdir()
+        (hooks / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count()}\\n'))\n"
+        )
+        src = str(Path(stlmon.__file__).parents[1])
+        args = ["check", str(workspace / "rules.stl"), str(workspace / trace)]
+        plain = subprocess.run([sys.executable, "-m", "stlmon", *args], capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert plain.returncode == code
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hooks), src]))
+        for prefix in (["-c", "from stlmon.cli import main; main()"],
+                       ["-m", "stlmon.cli"],
+                       ["-m", "stlmon"]):
+            got = subprocess.run([sys.executable, *prefix, *args], capture_output=True,
+                                 text=True, env=env, timeout=120)
+            assert (got.returncode, got.stdout) == (code, plain.stdout), prefix
+            frozen = got.stderr.splitlines()[-1]
+            assert frozen.startswith("frozen=") and int(frozen[7:]) > 0, (prefix, got.stderr)
+
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["check", "report", "compare", "simulate"])
@@ -906,12 +946,21 @@ class TestEntryPoints:
 
 class TestColdStart:
     def test_importing_the_cli_starts_no_process_machinery(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        # -S: no site-packages .pth file may import a module that this
+        # checks for, so only the package and numpy are on the path.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(stlmon.__file__).parents[1]), str(Path(np.__file__).parents[1])]))
         code = ("import sys, stlmon.cli; "
-                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+                "print(sorted({'multiprocessing', 'concurrent.futures', 'decimal', "
+                "'importlib.resources'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_run_in_process_freezes_nothing(self, workspace, capsys):
+        before = gc.get_freeze_count()
+        assert run(["check", str(workspace / "rules.stl"), str(workspace / "ok.csv")]) == 0
+        assert gc.get_freeze_count() == before
 
 
     def test_one_cpu_scores_fleets_in_process(self, workspace):
