@@ -50,8 +50,10 @@ from .traces import (
     Trace,
     TraceError,
     columns_csv_writer,
+    load_csv_bodies,
     load_trace_csv,
     load_trace_json,
+    split_trace_csv,
     write_trace_csv,
 )
 
@@ -115,7 +117,10 @@ def _trace_paths(directory: str) -> list[Path]:
     return paths
 
 
-def _decoded(spec: Specification, path: Path) -> Trace:
+def _read(spec: Specification, path: Path):
+    """A JSON trace file's Trace, or a CSV trace file's header declarations
+    and body lines (`split_trace_csv`); the file's bytes and text are not
+    kept. A read or decode fault is a CliError naming the file."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -123,31 +128,66 @@ def _decoded(spec: Specification, path: Path) -> Trace:
     try:
         if path.suffix == ".json":
             return load_trace_json(data, spec)
-        return load_trace_csv(data, spec, trace_id=path.stem)
+        return split_trace_csv(data, spec)
     except TraceError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
+def _decoded(spec: Specification, files: list) -> Iterator[list[Trace]]:
+    """The traces of a chunk of read (path, Trace or CSV lines) files, as
+    one list. Each run of CSV files with one header is parsed with one
+    `load_csv_bodies` call. On any fault the CSV files are loaded again one
+    at a time, which yields the traces before the first faulty file, then
+    raises its CliError."""
+    traces = []
+    try:
+        for decls, run in groupby(files, lambda f: f[1][0] if isinstance(f[1], tuple) else None):
+            run = list(run)
+            if decls is None:  # JSON traces, decoded when read
+                traces += [trace for _, trace in run]
+            else:
+                traces += load_csv_bodies(decls, [body for _, (_, body) in run],
+                                          [path.stem for path, _ in run])
+    except TraceError:
+        traces = []
+        for path, item in files:
+            try:
+                if isinstance(item, tuple):  # the file's text again, from its lines
+                    decls, body = item
+                    text = "\n".join([",".join(["time", *(d.name for d in decls)]), *body])
+                    item = load_trace_csv(text, spec, trace_id=path.stem)
+            except TraceError as exc:
+                if traces:
+                    yield traces
+                raise CliError(f"{path}: {exc}") from None
+            traces.append(item)
+        raise  # no file alone is faulty: the chunk and the walk disagree
+    if traces:
+        yield traces
+
+
 def _chunks(spec: Specification, paths) -> Iterator[list[Trace]]:
     """Read and decode trace files in path order, in chunks of about
-    BLOCK_SAMPLES samples to evaluate with one call each. A read or decode
+    BLOCK_SAMPLES samples to evaluate with one call each. A CSV file is
+    counted by its body lines before any cell is parsed, and a closed
+    chunk's CSV files are parsed together (`_decoded`). A read or decode
     fault is raised after the chunk of the files before it, so the first
     faulty file in path order is the one reported."""
-    chunk: list[Trace] = []
+    files: list = []
     samples = 0
     for path in map(Path, paths):
         try:
-            trace = _decoded(spec, path)
+            item = _read(spec, path)
         except CliError:
-            if chunk:
-                yield chunk
+            yield from _decoded(spec, files)
             raise
-        if chunk and samples + len(trace) > BLOCK_SAMPLES:
-            yield chunk
-            chunk, samples = [], 0
-        chunk.append(trace)
-        samples += len(trace)
-    yield chunk
+        n = len(item[1]) if isinstance(item, tuple) else len(item)
+        if files and samples + n > BLOCK_SAMPLES:
+            yield from _decoded(spec, files)
+            files, samples = [], 0
+        files.append((path, item))
+        samples += n
+    yield from _decoded(spec, files)
 
 
 def _evaluated(spec: Specification, items) -> list[RobustnessResult]:
@@ -196,8 +236,7 @@ def _ordered_map(job, items) -> list:
     is killed; a worker that dies raises BrokenProcessPool, which `run`
     reports with exit code 2. The workers are forked: a spawned one would
     first start an interpreter and import numpy, 0.13 s on a 2-vCPU Xeon,
-    where one process scores the 1,000 traces of a preset fleet in about
-    0.8 s."""
+    before its first chunk."""
     workers = _cpu_count()
     size = -(-len(items) // (8 * workers))
     if workers == 1 or size >= len(items) or not hasattr(os, "fork"):

@@ -6,15 +6,19 @@ A trace is a uniformly sampled record of named channels over one episode.
 Loaders validate shape and typing eagerly so the engine can assume clean
 data; loaded arrays are frozen (read-only) and safe to share.
 
-Both codecs decode in bulk. The CSV loader reads the whole body with one
-`np.loadtxt` call (numpy's C text reader) and takes each column from the
-resulting table; the JSON loader decodes each signal's array in one pass
-through `_decode_column`; the writer formats each column from one
+Both codecs decode in bulk. The CSV loader has two halves:
+`split_trace_csv` decodes one file's text, checks its header and row
+count and returns its body lines, and `load_csv_bodies` parses the bodies
+of one or more files under one header with one `np.loadtxt` call (numpy's
+C text reader) and takes each trace's columns from the resulting table.
+`load_trace_csv` is the one-file case of the two; the CLI parses a run of
+files with one call. The JSON loader decodes each signal's array in one
+pass through `_decode_column`; the writer formats each column from one
 `tolist()`. Each loader has one fault walk: when the bulk decode fails,
 the walk visits the values in order and raises the first bad one with
-its row (`_raise_first_fault` for CSV, in row-major order and with the
-column; `_check_value` over the failed signal for JSON). A walk builds
-no trace.
+its row (`_raise_first_fault` for CSV, body by body in row-major order
+and with the column; `_check_value` over the failed signal for JSON). A
+walk builds no trace.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -71,7 +76,8 @@ class Trace(_Record, eq=False):
             raise TraceError("non-finite dt")
         if self.dt <= 0:
             raise TraceError("nonpositive dt")
-        with np.errstate(over="ignore"):  # an overflow is an infinite gap, caught below
+        # An overflow is an infinite gap and inf - inf a NaN one, both caught below.
+        with np.errstate(over="ignore", invalid="ignore"):
             gaps = np.diff(self.times)
             rel = np.abs(gaps - self.dt) / self.dt
         if np.any(gaps <= 0):
@@ -80,6 +86,11 @@ class Trace(_Record, eq=False):
         if np.any(rel > UNIFORMITY_TOL):
             bad = int(np.argmax(rel > UNIFORMITY_TOL))
             raise TraceError("non-uniform sampling", row=bad + 2)
+        # Gaps that pass both checks are finite unless a time is NaN or two
+        # neighbours are the same infinity: their gap is NaN, which fails neither.
+        if np.isnan(gaps).any():
+            bad = int(np.argmin(np.isfinite(self.times)))
+            raise TraceError("non-finite time", row=bad + 1)
         for name, series in self.channels.items():
             if len(series) != len(self.times):
                 raise TraceError(f"channel '{name}' length does not match times")
@@ -169,13 +180,10 @@ def _raise_first_fault(body: list[str], decls, width: int) -> None:
             _check_cell(cell, decl, i, j)
 
 
-def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str = "trace") -> Trace:
-    """Load a trace from CSV text with header `time,<signal>...`.
-
-    Lines end with LF, CRLF or a bare CR. Cells are not quoted.
-    dt is inferred from the first gap; every later gap must match it to
-    within UNIFORMITY_TOL (relative).
-    """
+def split_trace_csv(data: Union[bytes, str], spec: Specification) -> tuple[tuple, list[str]]:
+    """The per-file half of `load_trace_csv`: decode the text, split its
+    lines and check the header, blank lines and row count. Returns the
+    header's signal declarations and the body lines, one per sample."""
     lines = _decode(data).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and not lines[-1]:  # trailing blank lines
         lines.pop()
@@ -194,36 +202,63 @@ def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str =
         if name in (d.name for d in decls):
             raise TraceError(f"duplicate column '{name}'", row=1, column=j)
         decls.append(decl)
-
-    body = lines[1:]
-    if len(body) < 2:
+    del lines[0]
+    if len(lines) < 2:
         raise TraceError("fewer than 2 rows")
+    return tuple(decls), lines
+
+
+def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> list[Trace]:
+    """The table half of `load_trace_csv`: the traces of CSV bodies under
+    one header, split by `split_trace_csv`, parsed with one `np.loadtxt`
+    call. A fault raises the first faulty cell's TraceError, in body
+    order, or the first faulty sampling's; with several bodies, which body
+    raised is unknown, so a caller that must name the first faulty file
+    loads them one at a time."""
     # Bool and enum cells go through a lookup: a missing key fails the read.
     converters = {
         j: (_BOOL_CELLS if d.kind is SignalKind.BOOL else _variant_indices(d)).__getitem__
         for j, d in enumerate(decls, start=1)
         if d.kind is not SignalKind.REAL
     }
+    width = 1 + len(decls)
     try:
         # encoding=None hands converters str, not bytes, before numpy 2
-        table = np.loadtxt(body, delimiter=",", comments=None, converters=converters,
-                           ndmin=2, encoding=None)
-        if table.shape != (len(body), len(header)) or not np.isfinite(table).all():
+        table = np.loadtxt(chain.from_iterable(bodies), delimiter=",", comments=None,
+                           converters=converters, ndmin=2, encoding=None)
+        if table.shape != (sum(map(len, bodies)), width) or not np.isfinite(table).all():
             raise ValueError("bad table")
     except ValueError:
-        _raise_first_fault(body, decls, len(header))
+        for body in bodies:
+            _raise_first_fault(body, decls, width)
         raise  # the walk found no fault: the decoder and the walk disagree
-    times, *columns = table.T.copy()  # each column contiguous
-    channels = {d.name: _table_column(d, values) for d, values in zip(decls, columns)}
+    columns = table.T.copy()  # each column contiguous
+    traces, start = [], 0
+    for body, trace_id in zip(bodies, ids):
+        times, *values = columns[:, start:start + len(body)]
+        start += len(body)
+        channels = {d.name: _table_column(d, v) for d, v in zip(decls, values)}
+        dt = float(times[1]) - float(times[0])
+        if dt <= 0:
+            raise TraceError("times not strictly increasing", row=3)
+        try:
+            traces.append(Trace(trace_id, dt, times, channels))
+        except TraceError as exc:
+            # Trace numbers its samples from 1; below the header, sample k is file row k + 1.
+            raise TraceError(exc.message, row=None if exc.row is None else exc.row + 1) from None
+    return traces
 
-    dt = float(times[1]) - float(times[0])
-    if dt <= 0:
-        raise TraceError("times not strictly increasing", row=3)
-    try:
-        return Trace(trace_id, dt, times, channels)
-    except TraceError as exc:
-        # Trace numbers its samples from 1; below the header, sample k is file row k + 1.
-        raise TraceError(exc.message, row=None if exc.row is None else exc.row + 1) from None
+
+def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str = "trace") -> Trace:
+    """Load a trace from CSV text with header `time,<signal>...`.
+
+    Lines end with LF, CRLF or a bare CR. Cells are not quoted.
+    dt is inferred from the first gap; every later gap must match it to
+    within UNIFORMITY_TOL (relative).
+    """
+    decls, body = split_trace_csv(data, spec)
+    [trace] = load_csv_bodies(decls, [body], [trace_id])
+    return trace
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

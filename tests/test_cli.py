@@ -472,16 +472,35 @@ class TestOneFileAtATime:
 
     @staticmethod
     def log_calls(monkeypatch):
-        """Log each trace load, each evaluation call with its traces, and
+        """Log each CSV file split into lines, with its row count; each
+        parse of a run of CSV bodies, with their trace ids; each JSON and
+        each one-file CSV load; each evaluation call with its traces; and
         each one-trace profile call, all made in this process: on one CPU,
         `report` and `compare` start no worker whose calls would be lost."""
         monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: 1)
         log = []
+        split = stlmon.cli.split_trace_csv
+        parse = stlmon.cli.load_csv_bodies
         load = stlmon.cli.load_trace_csv
+        load_json = stlmon.cli.load_trace_json
+
+        def logged_split(data, spec):
+            decls, body = split(data, spec)
+            log.append(("split", len(body)))
+            return decls, body
+
+        def logged_parse(decls, bodies, ids):
+            log.append(("parse", tuple(ids)))
+            return parse(decls, bodies, ids)
 
         def logged_load(data, spec, trace_id):
             log.append(("load", trace_id))
             return load(data, spec, trace_id=trace_id)
+
+        def logged_json(data, spec):
+            trace = load_json(data, spec)
+            log.append(("json", trace.id))
+            return trace
 
         def logged(evaluate):
             def call(spec, *traces):
@@ -489,7 +508,10 @@ class TestOneFileAtATime:
                 return evaluate(spec, *traces)
             return call
 
+        monkeypatch.setattr(stlmon.cli, "split_trace_csv", logged_split)
+        monkeypatch.setattr(stlmon.cli, "load_csv_bodies", logged_parse)
         monkeypatch.setattr(stlmon.cli, "load_trace_csv", logged_load)
+        monkeypatch.setattr(stlmon.cli, "load_trace_json", logged_json)
         for name in ("evaluate_specification", "profile_specification"):
             monkeypatch.setattr(stlmon.cli, name, logged(getattr(stlmon.cli, name)))
         evaluator = importlib.import_module("stlmon.robustness")
@@ -515,7 +537,9 @@ class TestOneFileAtATime:
             "compare": [str(fleet), str(fleet)],
         }
         assert run([command.split()[0], str(workspace / "rules.stl"), *targets[command]]) == 0
-        one_pass = [("load", "t000"), ("load", "t001"), ("load", "t002"),
+        # one parse and one evaluation for the chunk's three files
+        one_pass = [("split", 2), ("split", 2), ("split", 2),
+                    ("parse", ("t000", "t001", "t002")),
                     ("evaluate", ("t000", "t001", "t002"), 6)]
         assert log == one_pass * (2 if command == "compare" else 1)
 
@@ -532,20 +556,71 @@ class TestOneFileAtATime:
         log = self.log_calls(monkeypatch)
         assert run(["report", str(workspace / "rules.stl"), str(fleet)]) == 0
         ids = [f"t{i:02d}" for i in range(len(lengths))]
-        assert [entry[1] for entry in log if entry[0] == "load"] == ids
+        assert [entry[1] for entry in log if entry[0] == "split"] == lengths
+        assert [i for entry in log if entry[0] == "parse" for i in entry[1]] == ids
         calls = [entry[1:] for entry in log if entry[0] == "evaluate"]
         assert [i for traces, _ in calls for i in traces] == ids
         assert len(calls) == 4
         for traces, samples in calls:
             assert samples <= BLOCK_SAMPLES or len(traces) == 1
-        # a chunk is evaluated as soon as the next file does not fit in it
-        load = [("load", i) for i in ids]
+        # a chunk is parsed and evaluated as soon as the next file's row
+        # count does not fit in it
+        split = [("split", n) for n in lengths]
         assert log == [
-            *load[:4], ("evaluate", tuple(ids[:3]), 3 * piece),
-            load[4], ("evaluate", (ids[3],), piece),
-            load[5], ("evaluate", (ids[4],), BLOCK_SAMPLES + 5),
-            load[6], ("evaluate", tuple(ids[5:]), 2 * piece),
+            *split[:4], ("parse", tuple(ids[:3])), ("evaluate", tuple(ids[:3]), 3 * piece),
+            split[4], ("parse", (ids[3],)), ("evaluate", (ids[3],), piece),
+            split[5], ("parse", (ids[4],)), ("evaluate", (ids[4],), BLOCK_SAMPLES + 5),
+            split[6], ("parse", tuple(ids[5:])), ("evaluate", tuple(ids[5:]), 2 * piece),
         ]
+        # a decode fault in the last file comes after every earlier chunk
+        # and the part of its own chunk before it are evaluated
+        (fleet / "t06.csv").write_text("time,speed\n" + rows.replace("\n", ",\n", 1))
+        log.clear()
+        assert run(["report", str(workspace / "rules.stl"), str(fleet)]) == 2
+        assert log[-6:] == [
+            ("evaluate", (ids[4],), BLOCK_SAMPLES + 5), split[6],
+            ("parse", tuple(ids[5:])), ("load", ids[5]), ("load", ids[6]),
+            ("evaluate", (ids[5],), piece),
+        ]
+
+    def test_mixed_runs_with_a_bad_cell_after_an_evaluation_fault(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "r.stl").write_text("signal x : real\nsignal y : real\nrule r: y > 0\n")
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "a.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")
+        (d / "b.csv").write_text("time,y,x\n0,1,1\n1,2,2\n")  # the header changes
+        (d / "c.json").write_text('{"id": "c", "dt": 1, "signals": {"x": [1, 2], "y": [1, 2]}}')
+        (d / "d.csv").write_text("time,y,x\n0,1,1\n1,2,2\n")  # b's header, after a JSON file
+        (d / "e.csv").write_text("time,x\n0,1\n1,2\n")  # evaluation fault: no y
+        (d / "f.csv").write_text("time,x\n0,1\n1,zz\n")  # decode fault: a bad cell
+        log = self.log_calls(monkeypatch)
+        out = tmp_path / "prof"
+        argv = ["check", str(tmp_path / "r.stl"), *sorted(map(str, d.iterdir())),
+                "--profile-out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace 'e': rule 'r': signal 'y' missing from trace 'e'\n"
+        assert not out.exists()
+        # one parse per run of one header; the run with the bad cell fails,
+        # so the chunk's CSV files are loaded one at a time up to f, and the
+        # files before f are evaluated with one call
+        assert log == [
+            ("split", 2), ("split", 2), ("json", "c"), ("split", 2), ("split", 2), ("split", 2),
+            ("parse", ("a",)), ("parse", ("b",)), ("parse", ("d",)), ("parse", ("e", "f")),
+            ("load", "a"), ("load", "b"), ("load", "d"), ("load", "e"), ("load", "f"),
+            ("evaluate", ("a", "b", "c", "d", "e"), 10),
+        ]
+        # without the evaluation fault, f's cell is the error, after the
+        # profiles of the files before it are written
+        (d / "e.csv").write_text("time,x,y\n0,1,1\n1,2,2\n")
+        log.clear()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {d / 'f.csv'}: row 3, column 2: bad real value 'zz'\n"
+        assert sorted(p.name for p in out.iterdir()) == [f"{t}__r.csv" for t in "abcde"]
+        assert log[-2:] == [("load", "f"), ("evaluate", ("a", "b", "c", "d", "e"), 10)]
 
 
 class TestFleetOutputs:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from stlmon import (
     load_trace_json,
     parse_spec,
     write_trace_csv,
+    write_trace_json,
 )
-from stlmon.cli import run
+from stlmon.cli import CliError, _chunks, _load_spec, run
 from stlmon.traces import write_columns_csv
 from reference import (
     PALETTE_SPEC,
@@ -346,6 +348,28 @@ class TestSamplingOverflow:
         assert captured.err == f"error: {trace}: {message}\n"
 
 
+class TestNonFiniteTimes:
+    """A NaN time, or two neighbouring times at the same infinity, make a
+    NaN gap, which is neither nonpositive nor off dt: the trace is refused
+    at the first non-finite time, before anything can write it."""
+
+    @pytest.mark.parametrize(
+        "times, row",
+        [
+            ([0.0, math.nan, 2.0], 2),
+            ([math.nan, 1.0, 2.0], 1),
+            ([0.0, 1.0, 2.0, math.nan], 4),
+            ([math.inf, math.inf], 1),
+            ([-math.inf, -math.inf], 1),
+        ],
+    )
+    def test_trace_refuses_the_time(self, times, row):
+        x = Series(SignalKind.REAL, np.zeros(len(times)))
+        with pytest.raises(TraceError) as err:
+            Trace("t", 1.0, np.array(times), {"x": x})
+        assert str(err.value) == f"row {row}: non-finite time"
+
+
 def _signals_json(signals: str) -> str:
     return '{"id":"t","dt":1,"signals":{%s}}' % signals
 
@@ -447,11 +471,13 @@ _CSV_CELLS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"
 _CSV_SPACES = [" ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x85"]
 
 
-def _mutated_csv(rng: random.Random) -> str:
-    """A random trace of some of the palette's signals, written by
-    `write_columns_csv`, then mutated up to three times."""
+def _mutated_csv(rng: random.Random, names: list[str] | None = None) -> str:
+    """A random trace of the palette's signals `names` (by default some of
+    them, drawn at random), written by `write_columns_csv`, then mutated up
+    to three times."""
     trace = random_trace(rng, dt=rng.choice((1.0, 0.5, 0.25)), max_len=12)
-    names = rng.sample(list(trace.channels), rng.randrange(5))
+    if names is None:
+        names = rng.sample(list(trace.channels), rng.randrange(5))
     text = write_columns_csv(trace.times, {name: trace.channels[name] for name in names})
     for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
         op = rng.randrange(6)
@@ -536,6 +562,81 @@ class TestCsvAgainstCsvReader:
                 faulty += 1
             self.assert_matches_reference(text)
         assert 500 < faulty < 1500  # both outcomes are exercised
+
+
+class TestChunkDecoder:
+    """`cli._chunks` parses the CSV files of a chunk together, and gives
+    what `load_trace_csv` gives file by file: the same arrays, dtype and
+    bytes, or the same traces before the same first faulty file and the
+    same error."""
+
+    @staticmethod
+    def assert_matches_per_file_loads(spec, paths) -> str:
+        """Compare the two, and name the outcome: "clean", "first" (the
+        first file is faulty) or "later"."""
+        want, error = [], None
+        for path in paths:
+            try:
+                data = path.read_bytes()
+                if path.suffix == ".json":
+                    want.append(load_trace_json(data, spec))
+                else:
+                    want.append(load_trace_csv(data, spec, trace_id=path.stem))
+            except TraceError as exc:
+                error = f"{path}: {exc}"
+                break
+        got = []
+        try:
+            for chunk in _chunks(spec, paths):
+                got += chunk
+        except CliError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.id, g.dt, list(g.channels)) == (w.id, w.dt, list(w.channels))
+            pairs = [(g.times, w.times)] + [
+                (g.channels[name].values, s.values) for name, s in w.channels.items()
+            ]
+            for a, b in pairs:
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+            for name, s in w.channels.items():
+                assert (g.channels[name].kind, g.channels[name].variants) == (s.kind, s.variants)
+        return "clean" if error is None else "later" if want else "first"
+
+    @pytest.mark.parametrize("policy", ["pre", "post"])
+    def test_preset_fleets(self, tmp_path, policy):
+        out = tmp_path / policy
+        assert run(["simulate", "--preset", "--policy", policy, "--n", "200", "--seed", "7",
+                    "--out", str(out)]) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert len(paths) == 200
+        self.assert_matches_per_file_loads(_load_spec("builtin:turtlebot"), paths)
+
+    def test_random_groups(self, tmp_path):
+        rng = random.Random(22)
+        outcomes = Counter()
+        for g in range(500):
+            group = tmp_path / f"g{g:03d}"
+            group.mkdir()
+            shared = rng.sample("xybm", rng.randrange(5))  # a header several files share
+            for i in range(rng.randrange(1, 7)):
+                if rng.random() < 0.1:
+                    trace = random_trace(rng, max_len=12)
+                    (group / f"{i}.json").write_text(write_trace_json(trace))
+                    continue
+                text = _mutated_csv(rng, shared if rng.random() < 0.6 else None)
+                if rng.random() < 0.15:  # bare CR line endings
+                    text = text.replace("\r\n", "\n").replace("\n", "\r")
+                data = text.encode()
+                if rng.random() < 0.15:
+                    data = b"\xef\xbb\xbf" + data
+                (group / f"{i}.csv").write_bytes(data)
+            paths = sorted(group.iterdir())
+            outcomes[self.assert_matches_per_file_loads(PALETTE_SPEC, paths)] += 1
+        # clean groups, a fault in the first file, and a fault after good files
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestCsvRoundTrip:
