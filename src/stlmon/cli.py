@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
 from itertools import groupby
@@ -166,7 +166,7 @@ def _decoded(spec: Specification, files: list) -> Iterator[list[Trace]]:
         yield traces
 
 
-def _chunks(spec: Specification, paths) -> Iterator[list[Trace]]:
+def _chunks(spec: Specification, paths: Iterable[Path]) -> Iterator[list[Trace]]:
     """Read and decode trace files in path order, in chunks of about
     BLOCK_SAMPLES samples to evaluate with one call each. A CSV file is
     counted by its body lines before any cell is parsed, and a closed
@@ -175,7 +175,7 @@ def _chunks(spec: Specification, paths) -> Iterator[list[Trace]]:
     faulty file in path order is the one reported."""
     files: list = []
     samples = 0
-    for path in map(Path, paths):
+    for path in paths:
         try:
             item = _read(spec, path)
         except CliError:
@@ -299,7 +299,7 @@ def _cmd_check(args) -> int:
     evaluate = profile_specification if args.profile_out else evaluate_specification
     rows = []
     profiled: set[str] = set()
-    for chunk in _chunks(spec, args.traces):
+    for chunk in _chunks(spec, map(Path, args.traces)):
         results = evaluate(spec, *chunk)
         rows.extend(zip([trace.id for trace in chunk for _ in spec.rules], results))
         if args.profile_out:

@@ -10,7 +10,11 @@ Both codecs decode in bulk. The CSV loader has two halves:
 `split_trace_csv` decodes one file's text, checks its header and row
 count and returns its body lines, and `load_csv_bodies` parses the bodies
 of one or more files under one header with one `np.loadtxt` call (numpy's
-C text reader) and takes each trace's columns from the resulting table.
+C text reader). The table it reads has a double field for time and each
+real column and a text field for each bool and enum column, so no cell
+goes through Python. `_field_values` then checks and converts each
+column once: bool and enum cells are looked up among the column's valid
+cells. Each trace's columns are slices of the table's columns.
 `load_trace_csv` is the one-file case of the two; the CLI parses a run of
 files with one call. The JSON loader decodes each signal's array in one
 pass through `_decode_column`; the writer formats each column from one
@@ -18,7 +22,8 @@ pass through `_decode_column`; the writer formats each column from one
 the walk visits the values in order and raises the first bad one with
 its row (`_raise_first_fault` for CSV, body by body in row-major order
 and with the column; `_check_value` over the failed signal for JSON). A
-walk builds no trace.
+CSV file that holds a NUL always takes the walk, in `split_trace_csv`:
+numpy drops a text cell's trailing NULs. A walk builds no trace.
 """
 
 from __future__ import annotations
@@ -80,15 +85,17 @@ class Trace(_Record, eq=False):
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = np.diff(self.times)
             rel = np.abs(gaps - self.dt) / self.dt
-        if np.any(gaps <= 0):
-            bad = int(np.argmax(gaps <= 0))
-            raise TraceError("times not strictly increasing", row=bad + 2)
-        if np.any(rel > UNIFORMITY_TOL):
-            bad = int(np.argmax(rel > UNIFORMITY_TOL))
-            raise TraceError("non-uniform sampling", row=bad + 2)
-        # Gaps that pass both checks are finite unless a time is NaN or two
-        # neighbours are the same infinity: their gap is NaN, which fails neither.
-        if np.isnan(gaps).any():
+        # Gaps within the tolerance of dt are positive and not NaN, so one
+        # test passes a valid trace; the checks in order name a fault.
+        if not (rel <= UNIFORMITY_TOL).all():
+            if np.any(gaps <= 0):
+                bad = int(np.argmax(gaps <= 0))
+                raise TraceError("times not strictly increasing", row=bad + 2)
+            if np.any(rel > UNIFORMITY_TOL):
+                bad = int(np.argmax(rel > UNIFORMITY_TOL))
+                raise TraceError("non-uniform sampling", row=bad + 2)
+            # Gaps that pass both checks are finite unless a time is NaN or two
+            # neighbours are the same infinity: their gap is NaN, which fails neither.
             bad = int(np.argmin(np.isfinite(self.times)))
             raise TraceError("non-finite time", row=bad + 1)
         for name, series in self.channels.items():
@@ -143,6 +150,46 @@ def _variant_indices(decl) -> dict[str, int]:
     return {v: decl.enum_variants.index(v) for v in decl.enum_variants}
 
 
+def _cell_lookup(decl) -> tuple[np.ndarray, np.ndarray]:
+    """A bool or enum column's valid cells, sorted and in the column's
+    field format, and each one's value: the bool, or the variant's index
+    in declaration order."""
+    if decl.kind is SignalKind.BOOL:
+        values, dtype = _BOOL_CELLS, np.bool_
+    else:
+        values, dtype = _variant_indices(decl), np.int64
+    cells = sorted(values)
+    return np.array(cells, _field_format(decl)), np.array([values[c] for c in cells], dtype)
+
+
+def _field_format(decl) -> str:
+    """The field of the parsed CSV table that holds a column: a double for
+    time and reals, else text one character wider than the longest valid
+    cell, so that numpy, which cuts a longer cell to the field's width,
+    never cuts one down to a valid cell."""
+    if decl is None or decl.kind is SignalKind.REAL:
+        return "f8"
+    cells = _BOOL_CELLS if decl.kind is SignalKind.BOOL else decl.enum_variants
+    return f"U{max(map(len, cells)) + 1}"
+
+
+def _field_values(decl, cells: np.ndarray) -> np.ndarray:
+    """One field of the parsed CSV table as a contiguous array of values
+    (`decl` is None for time); raises ValueError on a non-finite number or
+    a bool or enum cell that is not valid."""
+    if decl is None or decl.kind is SignalKind.REAL:
+        values = np.ascontiguousarray(cells)
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite value")
+        return values
+    valid, codes = _cell_lookup(decl)
+    at = np.searchsorted(valid, cells)
+    np.minimum(at, len(valid) - 1, out=at)  # past the last valid cell
+    if not (valid[at] == cells).all():
+        raise ValueError("bad cell")
+    return codes[at]
+
+
 def _decode_column(decl, values: list) -> Series:
     """One JSON signal as a Series; raises ValueError, KeyError, TypeError
     or OverflowError on any bad value."""
@@ -160,16 +207,6 @@ def _decode_column(decl, values: list) -> Series:
     return Series(decl.kind, indices, decl.enum_variants)
 
 
-def _table_column(decl, values: np.ndarray) -> Series:
-    """One column of the decoded CSV table as a Series: bool cells were
-    read as 0 or 1, enum cells as their variant index."""
-    if decl.kind is SignalKind.REAL:
-        return Series(decl.kind, values)
-    if decl.kind is SignalKind.BOOL:
-        return Series(decl.kind, values != 0)
-    return Series(decl.kind, values.astype(np.int64), decl.enum_variants)
-
-
 def _raise_first_fault(body: list[str], decls, width: int) -> None:
     """Raise the TraceError of the first bad row or cell in row-major order."""
     for i, line in enumerate(body, start=2):
@@ -184,7 +221,10 @@ def split_trace_csv(data: Union[bytes, str], spec: Specification) -> tuple[tuple
     """The per-file half of `load_trace_csv`: decode the text, split its
     lines and check the header, blank lines and row count. Returns the
     header's signal declarations and the body lines, one per sample."""
-    lines = _decode(data).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    text = _decode(data)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     while lines and not lines[-1]:  # trailing blank lines
         lines.pop()
     if "" in lines:
@@ -205,6 +245,10 @@ def split_trace_csv(data: Union[bytes, str], spec: Specification) -> tuple[tuple
     del lines[0]
     if len(lines) < 2:
         raise TraceError("fewer than 2 rows")
+    if "\0" in text:
+        # numpy drops a text cell's trailing NULs, so `true\0` would parse as
+        # `true`. No cell may hold a NUL: the walk raises the first fault.
+        _raise_first_fault(lines, decls, len(header))
     return tuple(decls), lines
 
 
@@ -215,29 +259,23 @@ def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> li
     order, or the first faulty sampling's; with several bodies, which body
     raised is unknown, so a caller that must name the first faulty file
     loads them one at a time."""
-    # Bool and enum cells go through a lookup: a missing key fails the read.
-    converters = {
-        j: (_BOOL_CELLS if d.kind is SignalKind.BOOL else _variant_indices(d)).__getitem__
-        for j, d in enumerate(decls, start=1)
-        if d.kind is not SignalKind.REAL
-    }
-    width = 1 + len(decls)
+    fields = [None, *decls]  # None is the time column
+    dtype = [(f"f{j}", _field_format(d)) for j, d in enumerate(fields)]
     try:
-        # encoding=None hands converters str, not bytes, before numpy 2
-        table = np.loadtxt(chain.from_iterable(bodies), delimiter=",", comments=None,
-                           converters=converters, ndmin=2, encoding=None)
-        if table.shape != (sum(map(len, bodies)), width) or not np.isfinite(table).all():
+        table = np.loadtxt(chain.from_iterable(bodies), dtype=dtype, delimiter=",",
+                           comments=None, ndmin=1)
+        if table.shape != (sum(map(len, bodies)),):  # numpy skips empty lines
             raise ValueError("bad table")
+        columns = [_field_values(d, table[name]) for d, (name, _) in zip(fields, dtype)]
     except ValueError:
         for body in bodies:
-            _raise_first_fault(body, decls, width)
+            _raise_first_fault(body, decls, len(fields))
         raise  # the walk found no fault: the decoder and the walk disagree
-    columns = table.T.copy()  # each column contiguous
     traces, start = [], 0
     for body, trace_id in zip(bodies, ids):
-        times, *values = columns[:, start:start + len(body)]
+        times, *values = (c[start:start + len(body)] for c in columns)
         start += len(body)
-        channels = {d.name: _table_column(d, v) for d, v in zip(decls, values)}
+        channels = {d.name: Series(d.kind, v, d.enum_variants) for d, v in zip(decls, values)}
         dt = float(times[1]) - float(times[0])
         if dt <= 0:
             raise TraceError("times not strictly increasing", row=3)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -62,10 +63,10 @@ class TestCsvLoader:
 
     def test_enum_and_bool_cells(self):
         trace = load_trace_csv(
-            "time,surface,done\n0,track,false\n1,offroad,1\n2,track,true\n", SPEC
+            "time,surface,done\n0,track,false\n1,offroad,1\n2,track,true\n3,offroad,0\n", SPEC
         )
-        assert list(trace.channels["surface"].values) == [0, 1, 0]
-        assert list(trace.channels["done"].values) == [False, True, True]
+        assert list(trace.channels["surface"].values) == [0, 1, 0, 1]
+        assert list(trace.channels["done"].values) == [False, True, True, False]
 
     def test_undeclared_variant(self):
         with pytest.raises(TraceError, match="undeclared variant 'grass'") as err:
@@ -370,6 +371,34 @@ class TestNonFiniteTimes:
         assert str(err.value) == f"row {row}: non-finite time"
 
 
+class TestSamplingFaultOrder:
+    """When the times fail, the first nonpositive gap is named before any
+    non-uniform gap, and the first non-uniform gap before a non-finite
+    time, wherever each lies."""
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([0.0, 1.0, 3.0, 2.0], "row 4: times not strictly increasing"),
+            ([0.0, 1.0, 1.5, 2.5, 2.5], "row 5: times not strictly increasing"),
+            ([0.0, 1.0, 3.0, math.nan], "row 3: non-uniform sampling"),
+            ([0.0, 1.0, 3.0, 4.0, math.nan], "row 3: non-uniform sampling"),
+            ([0.0, 1.0, 3.0, math.inf, math.inf], "row 3: non-uniform sampling"),
+            ([0.0, 1.0, math.nan, 0.0], "row 3: non-finite time"),
+        ],
+    )
+    def test_first_check_in_order_names_the_fault(self, times, message):
+        x = Series(SignalKind.REAL, np.zeros(len(times)))
+        with pytest.raises(TraceError) as err:
+            Trace("t", 1.0, np.array(times), {"x": x})
+        assert str(err.value) == message
+
+    def test_csv_file_rows(self):
+        with pytest.raises(TraceError) as err:
+            load_trace_csv("time,x\n0,1\n1,1\n3,1\n2,1\n", SPEC)
+        assert str(err.value) == "row 5: times not strictly increasing"
+
+
 def _signals_json(signals: str) -> str:
     return '{"id":"t","dt":1,"signals":{%s}}' % signals
 
@@ -471,10 +500,12 @@ _CSV_CELLS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"
 _CSV_SPACES = [" ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x85"]
 
 
-def _mutated_csv(rng: random.Random, names: list[str] | None = None) -> str:
+def _mutated_csv(rng: random.Random, names: list[str] | None = None,
+                 inserts: list[str] = _CSV_INSERTS, replacements: list[str] = _CSV_CELLS) -> str:
     """A random trace of the palette's signals `names` (by default some of
     them, drawn at random), written by `write_columns_csv`, then mutated up
-    to three times."""
+    to three times: `inserts` go anywhere and `replacements` in place of a
+    cell."""
     trace = random_trace(rng, dt=rng.choice((1.0, 0.5, 0.25)), max_len=12)
     if names is None:
         names = rng.sample(list(trace.channels), rng.randrange(5))
@@ -483,14 +514,14 @@ def _mutated_csv(rng: random.Random, names: list[str] | None = None) -> str:
         op = rng.randrange(6)
         if op == 0:  # insert a character or token anywhere
             at = rng.randrange(len(text) + 1)
-            text = text[:at] + rng.choice(_CSV_INSERTS) + text[at:]
+            text = text[:at] + rng.choice(inserts) + text[at:]
             continue
         lines = text.split("\n")
         i = rng.randrange(len(lines))
         cells = lines[i].split(",")
         k = rng.randrange(len(cells))
         if op == 1:
-            cells[k] = rng.choice(_CSV_CELLS)
+            cells[k] = rng.choice(replacements)
         elif op == 2:  # surrounding whitespace
             cells[k] = rng.choice(_CSV_SPACES) + cells[k] + rng.choice(_CSV_SPACES)
         elif op == 3:  # a sign
@@ -637,6 +668,146 @@ class TestChunkDecoder:
             outcomes[self.assert_matches_per_file_loads(PALETTE_SPEC, paths)] += 1
         # clean groups, a fault in the first file, and a fault after good files
         assert min(outcomes.values()) > 50, outcomes
+
+
+# An enum declared out of sorted order, with variants that are prefixes of others.
+GEARS = parse_spec("signal gear : enum {reverse, park, drive, d, dr}\n")
+
+
+def _csvreader_with_nul(text: str) -> dict[str, np.ndarray]:
+    """`reference.csvreader_csv` of a text that may hold NULs. `csv.reader`
+    refuses a NUL before Python 3.11, so \\x01, which is just as much an
+    ordinary, non-space character to every reader, stands in for it."""
+    try:
+        return csvreader_csv(text.replace("\x00", "\x01"), PALETTE_SPEC)
+    except TraceError as exc:
+        message = exc.message.replace("\\x01", "\\x00").replace("\x01", "\x00")
+        raise TraceError(message, exc.row, exc.column) from None
+
+
+class TestTextCells:
+    """Bool and enum cells are parsed as text fields, which numpy cuts to
+    the field's width and strips of trailing NULs. A cell is still valid
+    only if it is exactly one of the column's valid cells."""
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("done", "true\x00", "bad bool value 'true\\x00'"),
+            ("done", "\x00", "bad bool value '\\x00'"),
+            ("done", "falsey", "bad bool value 'falsey'"),
+            ("done", "offroadx", "bad bool value 'offroadx'"),
+            ("done", " true", "bad bool value ' true'"),
+            ("done", "true ", "bad bool value 'true '"),
+            ("done", "TRUE", "bad bool value 'TRUE'"),
+            ("done", "1.0", "bad bool value '1.0'"),
+            ("done", "", "bad bool value ''"),
+            ("done", "track", "bad bool value 'track'"),
+            ("surface", "track\x00", "undeclared variant 'track\\x00'"),
+            ("surface", "offroadx", "undeclared variant 'offroadx'"),
+            ("surface", "falsey", "undeclared variant 'falsey'"),
+            ("surface", " track", "undeclared variant ' track'"),
+            ("surface", "track ", "undeclared variant 'track '"),
+            ("surface", "TRACK", "undeclared variant 'TRACK'"),
+            ("surface", "1.0", "undeclared variant '1.0'"),
+            ("surface", "", "undeclared variant ''"),
+            ("surface", "true", "undeclared variant 'true'"),
+            ("surface", "0", "undeclared variant '0'"),
+        ],
+    )
+    @pytest.mark.parametrize("row", [2, 3])
+    def test_bad_cell_named_exactly(self, column, cell, message, row):
+        good = {"done": ["false", "1"], "surface": ["track", "offroad"]}[column]
+        good[row - 2] = cell
+        text = f"time,speed,{column}\n0,1,{good[0]}\n1,2,{good[1]}\n"
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(text, SPEC)
+        assert str(err.value) == f"row {row}, column 3: {message}"
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("driv", "undeclared variant 'driv'"),
+            ("drivex", "undeclared variant 'drivex'"),
+            ("dri\x00", "undeclared variant 'dri\\x00'"),
+            ("d\x00", "undeclared variant 'd\\x00'"),
+            ("reversex", "undeclared variant 'reversex'"),
+            ("r", "undeclared variant 'r'"),
+            ("drivedrive", "undeclared variant 'drivedrive'"),
+        ],
+    )
+    def test_bad_variant_beside_its_prefixes(self, cell, message):
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(f"time,gear\n0,d\n1,{cell}\n", GEARS)
+        assert str(err.value) == f"row 3, column 2: {message}"
+
+    def test_variants_take_their_declaration_index(self):
+        cells = ["d", "dr", "drive", "park", "reverse", "drive", "d"]
+        text = "time,gear\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells))
+        series = load_trace_csv(text, GEARS).channels["gear"]
+        assert series.values.dtype == np.int64
+        assert series.values.tolist() == [3, 4, 2, 1, 0, 2, 3]
+        assert series.variants == ("reverse", "park", "drive", "d", "dr")
+
+    def test_nul_in_a_later_file_of_a_chunk(self, tmp_path):
+        paths = []
+        for i, cell in enumerate(["track", "offroad", "track\x00"]):
+            paths.append(tmp_path / f"{i}.csv")
+            paths[-1].write_text(f"time,surface\n0,track\n1,{cell}\n")
+        got = []
+        with pytest.raises(CliError) as err:
+            for chunk in _chunks(SPEC, paths):
+                got += chunk
+        assert str(err.value) == f"{paths[2]}: row 3, column 2: undeclared variant 'track\\x00'"
+        assert [trace.id for trace in got] == ["0", "1"]
+
+    def test_random_chunks_with_nul(self, tmp_path):
+        """Groups of `_mutated_csv` files, NULs among the mutations, give
+        through `cli._chunks` what `reference.csvreader_csv` gives file by
+        file: the same arrays, or the same traces before the same first
+        faulty file and the same error."""
+        rng = random.Random(23)
+        inserts = [*_CSV_INSERTS, "\x00"]
+        replacements = [*_CSV_CELLS, *(cell + "\x00" for cell in _CSV_CELLS)]
+        outcomes = Counter()
+        for g in range(400):
+            group = tmp_path / f"g{g:03d}"
+            group.mkdir()
+            shared = rng.sample("xybm", rng.randrange(5))
+            want, error = [], None
+            for i in range(rng.randrange(1, 7)):
+                text = _mutated_csv(rng, shared if rng.random() < 0.6 else None,
+                                    inserts, replacements)
+                path = group / f"{i}.csv"
+                path.write_bytes(text.encode())
+                if error is None:
+                    try:
+                        want.append((path.stem, _csvreader_with_nul(text)))
+                    except TraceError as exc:
+                        error = f"{path}: {exc}"
+            got = []
+            try:
+                for chunk in _chunks(PALETTE_SPEC, sorted(group.iterdir())):
+                    got += chunk
+            except CliError as exc:
+                assert str(exc) == error
+            else:
+                assert error is None
+            assert [trace.id for trace in got] == [trace_id for trace_id, _ in want]
+            for trace, (_, columns) in zip(got, want):
+                arrays = {"time": trace.times, **{n: s.values for n, s in trace.channels.items()}}
+                assert list(arrays) == list(columns)
+                for name, values in columns.items():
+                    assert (arrays[name].dtype, arrays[name].tobytes()) == (values.dtype, values.tobytes())
+            if error is None:
+                outcomes["clean"] += 1
+            else:
+                outcomes["later" if want else "first"] += 1
+                # a bool or enum cell that holds a NUL
+                outcomes["nul"] += re.search(r"(bool value|variant) '.*\\x00", error) is not None
+        # clean groups, faults in the first and in later files, and NUL text cells
+        assert min(outcomes["clean"], outcomes["first"], outcomes["later"]) > 30, outcomes
+        assert outcomes["nul"] > 5, outcomes
 
 
 class TestCsvRoundTrip:
