@@ -51,7 +51,7 @@ from .traces import (
     TraceError,
     columns_csv_writer,
     load_csv_bodies,
-    load_trace_csv,
+    load_trace_csv,  # kept only for bench/traced.py's traces.load_csv layer (ROADMAP item 4)
     load_trace_json,
     split_trace_csv,
     write_trace_csv,
@@ -133,12 +133,12 @@ def _read(spec: Specification, path: Path):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _decoded(spec: Specification, files: list) -> Iterator[list[Trace]]:
+def _decoded(files: list) -> Iterator[list[Trace]]:
     """The traces of a chunk of read (path, Trace or CSV lines) files, as
     one list. Each run of CSV files with one header is parsed with one
-    `load_csv_bodies` call. On any fault the CSV files are loaded again one
-    at a time, which yields the traces before the first faulty file, then
-    raises its CliError."""
+    `load_csv_bodies` call, which yields its traces in file order and
+    raises at the first faulty file: the traces before it are yielded,
+    then its CliError is raised."""
     traces = []
     try:
         for decls, run in groupby(files, lambda f: f[1][0] if isinstance(f[1], tuple) else None):
@@ -146,22 +146,12 @@ def _decoded(spec: Specification, files: list) -> Iterator[list[Trace]]:
             if decls is None:  # JSON traces, decoded when read
                 traces += [trace for _, trace in run]
             else:
-                traces += load_csv_bodies(decls, [body for _, (_, body) in run],
-                                          [path.stem for path, _ in run])
-    except TraceError:
-        traces = []
-        for path, item in files:
-            try:
-                if isinstance(item, tuple):  # the file's text again, from its lines
-                    decls, body = item
-                    text = "\n".join([",".join(["time", *(d.name for d in decls)]), *body])
-                    item = load_trace_csv(text, spec, trace_id=path.stem)
-            except TraceError as exc:
-                if traces:
-                    yield traces
-                raise CliError(f"{path}: {exc}") from None
-            traces.append(item)
-        raise  # no file alone is faulty: the chunk and the walk disagree
+                traces.extend(load_csv_bodies(decls, [body for _, (_, body) in run],
+                                              [path.stem for path, _ in run]))
+    except TraceError as exc:
+        if traces:
+            yield traces
+        raise CliError(f"{files[len(traces)][0]}: {exc}") from None
     if traces:
         yield traces
 
@@ -179,15 +169,15 @@ def _chunks(spec: Specification, paths: Iterable[Path]) -> Iterator[list[Trace]]
         try:
             item = _read(spec, path)
         except CliError:
-            yield from _decoded(spec, files)
+            yield from _decoded(files)
             raise
         n = len(item[1]) if isinstance(item, tuple) else len(item)
         if files and samples + n > BLOCK_SAMPLES:
-            yield from _decoded(spec, files)
+            yield from _decoded(files)
             files, samples = [], 0
         files.append((path, item))
         samples += n
-    yield from _decoded(spec, files)
+    yield from _decoded(files)
 
 
 def _evaluated(spec: Specification, items) -> list[RobustnessResult]:

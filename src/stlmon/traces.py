@@ -20,8 +20,10 @@ files with one call. The JSON loader decodes each signal's array in one
 pass through `_decode_column`; the writer formats each column from one
 `tolist()`. Each loader has one fault walk: when the bulk decode fails,
 the walk visits the values in order and raises the first bad one with
-its row (`_raise_first_fault` for CSV, body by body in row-major order
-and with the column; `_check_value` over the failed signal for JSON). A
+its row (`_raise_first_fault` over one CSV body, in row-major order and
+with the column; `_check_value` over the failed signal for JSON). When
+the table of several CSV bodies fails, they are loaded one at a time,
+so the first faulty body raises after the traces of those before it. A
 CSV file that holds a NUL always takes the walk, in `split_trace_csv`:
 numpy drops a text cell's trailing NULs. A walk builds no trace.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import chain
 from typing import Union
 
@@ -208,7 +210,8 @@ def _decode_column(decl, values: list) -> Series:
 
 
 def _raise_first_fault(body: list[str], decls, width: int) -> None:
-    """Raise the TraceError of the first bad row or cell in row-major order."""
+    """Raise the TraceError of one CSV body's first bad row or cell, in
+    row-major order."""
     for i, line in enumerate(body, start=2):
         row = line.split(",")
         if len(row) != width:
@@ -239,7 +242,7 @@ def split_trace_csv(data: Union[bytes, str], spec: Specification) -> tuple[tuple
         decl = spec.signal(name)
         if decl is None:
             raise TraceError(f"unknown column '{name}'", row=1, column=j)
-        if name in (d.name for d in decls):
+        if name in header[1:j - 1]:
             raise TraceError(f"duplicate column '{name}'", row=1, column=j)
         decls.append(decl)
     del lines[0]
@@ -252,13 +255,12 @@ def split_trace_csv(data: Union[bytes, str], spec: Specification) -> tuple[tuple
     return tuple(decls), lines
 
 
-def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> list[Trace]:
-    """The table half of `load_trace_csv`: the traces of CSV bodies under
-    one header, split by `split_trace_csv`, parsed with one `np.loadtxt`
-    call. A fault raises the first faulty cell's TraceError, in body
-    order, or the first faulty sampling's; with several bodies, which body
-    raised is unknown, so a caller that must name the first faulty file
-    loads them one at a time."""
+def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> Iterator[Trace]:
+    """The table half of `load_trace_csv`: yield the traces of CSV bodies
+    under one header, split by `split_trace_csv`, in body order, parsed
+    with one `np.loadtxt` call. A faulty body raises the TraceError it
+    raises when loaded alone, after the traces of the bodies before it:
+    if the table fails, the bodies are loaded one at a time."""
     fields = [None, *decls]  # None is the time column
     dtype = [(f"f{j}", _field_format(d)) for j, d in enumerate(fields)]
     try:
@@ -268,10 +270,13 @@ def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> li
             raise ValueError("bad table")
         columns = [_field_values(d, table[name]) for d, (name, _) in zip(fields, dtype)]
     except ValueError:
-        for body in bodies:
-            _raise_first_fault(body, decls, len(fields))
+        if len(bodies) > 1:
+            for body, trace_id in zip(bodies, ids):
+                yield from load_csv_bodies(decls, [body], [trace_id])
+        else:
+            _raise_first_fault(bodies[0], decls, len(fields))
         raise  # the walk found no fault: the decoder and the walk disagree
-    traces, start = [], 0
+    start = 0
     for body, trace_id in zip(bodies, ids):
         times, *values = (c[start:start + len(body)] for c in columns)
         start += len(body)
@@ -280,11 +285,11 @@ def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> li
         if dt <= 0:
             raise TraceError("times not strictly increasing", row=3)
         try:
-            traces.append(Trace(trace_id, dt, times, channels))
+            trace = Trace(trace_id, dt, times, channels)
         except TraceError as exc:
             # Trace numbers its samples from 1; below the header, sample k is file row k + 1.
             raise TraceError(exc.message, row=None if exc.row is None else exc.row + 1) from None
-    return traces
+        yield trace
 
 
 def load_trace_csv(data: Union[bytes, str], spec: Specification, trace_id: str = "trace") -> Trace:

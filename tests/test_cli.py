@@ -577,10 +577,9 @@ class TestOneFileAtATime:
         (fleet / "t06.csv").write_text("time,speed\n" + rows.replace("\n", ",\n", 1))
         log.clear()
         assert run(["report", str(workspace / "rules.stl"), str(fleet)]) == 2
-        assert log[-6:] == [
+        assert log[-4:] == [
             ("evaluate", (ids[4],), BLOCK_SAMPLES + 5), split[6],
-            ("parse", tuple(ids[5:])), ("load", ids[5]), ("load", ids[6]),
-            ("evaluate", (ids[5],), piece),
+            ("parse", tuple(ids[5:])), ("evaluate", (ids[5],), piece),
         ]
 
     def test_mixed_runs_with_a_bad_cell_after_an_evaluation_fault(
@@ -604,13 +603,12 @@ class TestOneFileAtATime:
         assert captured.out == ""
         assert captured.err == "error: trace 'e': rule 'r': signal 'y' missing from trace 'e'\n"
         assert not out.exists()
-        # one parse per run of one header; the run with the bad cell fails,
-        # so the chunk's CSV files are loaded one at a time up to f, and the
-        # files before f are evaluated with one call
+        # one parse per run of one header; the run with the bad cell yields
+        # e before it raises at f, and the files before f are evaluated with
+        # one call
         assert log == [
             ("split", 2), ("split", 2), ("json", "c"), ("split", 2), ("split", 2), ("split", 2),
             ("parse", ("a",)), ("parse", ("b",)), ("parse", ("d",)), ("parse", ("e", "f")),
-            ("load", "a"), ("load", "b"), ("load", "d"), ("load", "e"), ("load", "f"),
             ("evaluate", ("a", "b", "c", "d", "e"), 10),
         ]
         # without the evaluation fault, f's cell is the error, after the
@@ -620,7 +618,7 @@ class TestOneFileAtATime:
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {d / 'f.csv'}: row 3, column 2: bad real value 'zz'\n"
         assert sorted(p.name for p in out.iterdir()) == [f"{t}__r.csv" for t in "abcde"]
-        assert log[-2:] == [("load", "f"), ("evaluate", ("a", "b", "c", "d", "e"), 10)]
+        assert log[-2:] == [("parse", ("f",)), ("evaluate", ("a", "b", "c", "d", "e"), 10)]
 
 
 class TestFleetOutputs:

@@ -29,7 +29,7 @@ from stlmon import (
     write_trace_json,
 )
 from stlmon.cli import CliError, _chunks, _load_spec, run
-from stlmon.traces import write_columns_csv
+from stlmon.traces import load_csv_bodies, split_trace_csv, write_columns_csv
 from reference import (
     PALETTE_SPEC,
     csvreader_csv,
@@ -668,6 +668,33 @@ class TestChunkDecoder:
             outcomes[self.assert_matches_per_file_loads(PALETTE_SPEC, paths)] += 1
         # clean groups, a fault in the first file, and a fault after good files
         assert min(outcomes.values()) > 50, outcomes
+
+
+class TestCsvBodies:
+    """`load_csv_bodies` yields its traces in body order, and a faulty body
+    raises what it raises alone, after the traces of the bodies before it."""
+
+    def test_sampling_fault_before_a_bad_cell(self):
+        files = ["time,x\n0,1\n1,2\n2,3\n",  # clean
+                 "time,x\n0,1\n1,2\n3,3\n",  # non-uniform times
+                 "time,x\n0,1\n1,zz\n2,3\n"]  # a bad real cell
+        split = [split_trace_csv(text, SPEC) for text in files]
+        decls = split[0][0]
+        assert all(d == decls for d, _ in split)
+        bodies, ids = [body for _, body in split], ["a", "b", "c"]
+        with pytest.raises(TraceError) as alone:
+            load_trace_csv(files[1], SPEC, trace_id="b")
+        assert str(alone.value) == "row 4: non-uniform sampling"
+        with pytest.raises(TraceError) as err:
+            list(load_csv_bodies(decls, bodies, ids))
+        assert str(err.value) == str(alone.value)
+        traces = load_csv_bodies(decls, bodies, ids)
+        first = next(traces)
+        assert first.id == "a"
+        assert first.channels["x"].values.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(TraceError) as err:
+            next(traces)
+        assert str(err.value) == str(alone.value)
 
 
 # An enum declared out of sorted order, with variants that are prefixes of others.
