@@ -106,27 +106,33 @@ def _load_spec(spec_arg: str) -> Specification:
     return spec
 
 
-def _trace_paths(directory: str) -> list[Path]:
+def _trace_paths(directory: str) -> list[str]:
     root = Path(directory)
     if not root.is_dir():
         raise CliError(f"not a directory: {directory}")
-    paths = sorted((p for p in root.iterdir() if p.suffix in (".csv", ".json")),
-                   key=lambda p: p.name)
+    paths = sorted(os.fspath(p) for p in root.iterdir() if p.suffix in (".csv", ".json"))
     if not paths:
         raise CliError(f"no .csv or .json traces in {directory}")
     return paths
 
 
-def _read(spec: Specification, path: Path):
+def _stem_suffix(path: str) -> tuple[str, str]:
+    name = os.path.basename(path)  # split as pathlib splits a name
+    dot = name.rfind(".")
+    return (name[:dot], name[dot:]) if 0 < dot < len(name) - 1 else (name, "")
+
+
+def _read(spec: Specification, path: str):
     """A JSON trace file's Trace, or a CSV trace file's header declarations
     and body lines (`split_trace_csv`); the file's bytes and text are not
     kept. A read or decode fault is a CliError naming the file."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise CliError(f"cannot read trace {path}: {exc}") from None
     try:
-        if path.suffix == ".json":
+        if _stem_suffix(path)[1] == ".json":
             return load_trace_json(data, spec)
         return split_trace_csv(data, spec)
     except TraceError as exc:
@@ -147,7 +153,7 @@ def _decoded(files: list) -> Iterator[list[Trace]]:
                 traces += [trace for _, trace in run]
             else:
                 traces.extend(load_csv_bodies(decls, [body for _, (_, body) in run],
-                                              [path.stem for path, _ in run]))
+                                              [_stem_suffix(path)[0] for path, _ in run]))
     except TraceError as exc:
         if traces:
             yield traces
@@ -156,7 +162,7 @@ def _decoded(files: list) -> Iterator[list[Trace]]:
         yield traces
 
 
-def _chunks(spec: Specification, paths: Iterable[Path]) -> Iterator[list[Trace]]:
+def _chunks(spec: Specification, paths: Iterable[str]) -> Iterator[list[Trace]]:
     """Read and decode trace files in path order, in chunks of about
     BLOCK_SAMPLES samples to evaluate with one call each. A CSV file is
     counted by its body lines before any cell is parsed, and a closed
@@ -188,7 +194,7 @@ def _evaluated(spec: Specification, items) -> list[RobustnessResult]:
             for r in evaluate_specification(spec, *chunk)]
 
 
-def _fleet_reports(spec: Specification, *fleets: list[Path]) -> list[list[FleetReport]]:
+def _fleet_reports(spec: Specification, *fleets: list[str]) -> list[list[FleetReport]]:
     """Each fleet's per-rule reports, from one ordered pass over the files
     of all the fleets."""
     items = [(i, path) for i, fleet in enumerate(fleets) for path in fleet]
@@ -289,7 +295,7 @@ def _cmd_check(args) -> int:
     evaluate = profile_specification if args.profile_out else evaluate_specification
     rows = []
     profiled: set[str] = set()
-    for chunk in _chunks(spec, map(Path, args.traces)):
+    for chunk in _chunks(spec, (os.fspath(Path(p)) for p in args.traces)):
         results = evaluate(spec, *chunk)
         rows.extend(zip([trace.id for trace in chunk for _ in spec.rules], results))
         if args.profile_out:

@@ -29,9 +29,8 @@ live samples of every node. `evaluate_specification` and
 caller sizes; `robustness`, `robustness_profile` and `boolean_monitor`
 are the one-row case, and `eval_expr` reads one expression's row.
 
-G/F and `U` are computed in O(n) total per node: bounded G/F via
-`windowed_extremum`, unbounded G/F by one suffix sweep, and `U` by a
-backward recurrence plus window extrema.
+Unbounded G/F is one O(n) suffix sweep and `U` an O(n) backward recurrence;
+bounded windows (`U`'s caps too) cost O(n log2(w+1)) in `windowed_extremum`.
 Evaluation is pure per (formula, trace) pair; traces and formulas are
 immutable, so many evaluations may run concurrently.
 
@@ -131,33 +130,28 @@ def windowed_extremum(series, width: int, mode: str) -> np.ndarray:
     """Forward-looking sliding extremum: out[t] = extremum of
     series[t .. min(t+width, n-1)], along the last axis.
 
-    O(n) total via the two-pass block prefix/suffix sweep (each element
-    is touched a constant number of times). Selection only, so results
-    are bit-identical to a naive scan.
+    Log-step doubling in place on one copy: joining out[t], a window of
+    `span` samples, with out[t+k], k <= span, widens it to span+k until it
+    holds w+1, w the width clipped to n-1. O(n log2(w+1)) time; one row needs
+    no other memory. Selection only: values equal a naive scan's (0.0 == -0.0).
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    s = np.asarray(series, dtype=np.float64)
-    n = s.shape[-1]
+    out = np.array(series, dtype=np.float64)
+    n = out.shape[-1]
     if n == 0:
         raise ValueError("series is empty")
     if width < 0:
         raise ValueError("width must be >= 0")
     w = min(int(width), n - 1)
-    if w == 0:
-        return s.copy()
     op = np.minimum if mode == "min" else np.maximum
-    fill = np.inf if mode == "min" else -np.inf
-    block = w + 1
-    # Pad so every window end index t+w exists and the array splits into
-    # whole blocks; the fill value never wins an extremum because every
-    # window contains at least one real sample.
-    pad = (-(n + w) % block) + w
-    padded = np.concatenate([s, np.full(s.shape[:-1] + (pad,), fill)], axis=-1)
-    tiles = padded.reshape(s.shape[:-1] + (-1, block))
-    prefix = op.accumulate(tiles, axis=-1).reshape(padded.shape)
-    suffix = op.accumulate(tiles[..., ::-1], axis=-1)[..., ::-1].reshape(padded.shape)
-    return op(suffix[..., :n], prefix[..., w:n + w])
+    span = 1
+    while span <= w:
+        k = min(span, w + 1 - span)
+        head = out[..., :n - k]  # one view as input and output: cheaper on short rows
+        op(head, out[..., k:], out=head)
+        span += k
+    return out
 
 
 def _bound_to_index(bound: float, dt: float) -> float:
@@ -239,7 +233,7 @@ def _until_series(lhs: np.ndarray, rhs: np.ndarray, lo: int, hi: int | None) -> 
     min(lhs[t..start]) when lo > 0 (lhs must hold up to `start`) and by
     max(rhs[start..end]) when bounded: a maximiser of u past `end` is
     capped both by the lhs prefix up to `end` and by the best rhs inside
-    the window. O(n) per node.
+    the window. O(n) per node, plus the window extrema of the caps.
     """
     out = _ahead(_clamp_chain(np.minimum(lhs, rhs), lhs), lo)
     if lo > 0:

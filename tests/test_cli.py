@@ -740,6 +740,50 @@ class TestChunkFaultOrder:
             )
 
 
+class TestPathStrings:
+    """Trace files travel to the workers as path strings: names, trace ids
+    and messages are those that pathlib gives."""
+
+    NAMES = ["t.csv", "a.b.csv", "..csv", "...json", ".hidden.csv", "a..csv",
+             "x.", "noext", ".csv", ".json", "v.json.csv", "w.csv.json"]
+
+    def test_stem_and_suffix_as_pathlib(self):
+        for name in self.NAMES:
+            for path in (name, f"d/{name}", f"./d//{name}", f"/abs.d/{name}"):
+                assert stlmon.cli._stem_suffix(path) == (Path(path).stem, Path(path).suffix), path
+
+    def test_listing_is_strings_in_file_name_order(self, tmp_path):
+        for name in ("b.csv", "a.json", "c.txt", "A.csv"):
+            (tmp_path / name).write_text("")
+        assert stlmon.cli._trace_paths(str(tmp_path) + "/") == [
+            os.fspath(tmp_path / name) for name in ("A.csv", "a.json", "b.csv")
+        ]
+
+    def test_trace_ids_of_odd_names(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        names = ["..csv", "x.", "noext", ".csv", "a.b.csv"]
+        for name in names:
+            (tmp_path / name).write_text(COMPLIANT)
+        assert run(["check", "--format", "json", "r.stl", *(f".//{n}" for n in names)]) == 0
+        ids = [row["trace"] for row in json.loads(capsys.readouterr().out)]
+        assert ids == [Path(name).stem for name in names]
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "r.stl", "./bad/"],
+        ["compare", "r.stl", "./bad", "bad//"],
+        ["check", "r.stl", "./bad//t1.csv"],
+    ])
+    def test_faulty_file_named_normalised(self, tmp_path, argv, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        bad = fill_dir(tmp_path / "bad", [10, 20, 30])
+        (bad / "t1.csv").write_text("time,speed\n0,850\n1,zz\n")
+        assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
+            "error: bad/t1.csv: row 3, column 2: bad real value 'zz'\n"
+        )
+
+
 class TestProfileOut:
     def test_duplicate_trace_id_exits_two_before_overwriting(self, tmp_path, capsys):
         spec = tmp_path / "r.stl"

@@ -4,6 +4,7 @@ soundness against the boolean monitor, and the windowed-extremum kernel."""
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,58 @@ class TestWindowedExtremum:
             ours = list(windowed_extremum(series, width, mode))
             assert ours == naive_windowed(series, width, mode)
             assert ours == deque_windowed(series, width, mode)
+
+    @staticmethod
+    def _edge_widths(n):
+        """0, 2^k-1, 2^k and 2^k+1 below n, n-2, n-1 and past n."""
+        powers = [p for k in range(n.bit_length() + 1) for p in (2**k - 1, 2**k, 2**k + 1)]
+        return sorted({w for w in [0, *powers, n - 2, n - 1, n, n + 3] if w >= 0})
+
+    def test_blocks_row_by_row_with_ties_and_edge_widths(self):
+        # Ties among 0.0, -0.0 and small integers; only values are compared,
+        # so the sign a tied zero keeps may differ from the scan's.
+        rng = random.Random(131)
+        for _ in range(120):
+            n = rng.randrange(1, 70)
+            rows = rng.randrange(1, 5)
+            if rng.random() < 0.5:
+                block = [[rng.choice((0.0, -0.0, 1.0, -1.0, 2.0, -2.0)) for _ in range(n)]
+                         for _ in range(rows)]
+            else:
+                block = [[rng.uniform(-10, 10) for _ in range(n)] for _ in range(rows)]
+            for width in self._edge_widths(n):
+                for mode in ("min", "max"):
+                    ours = windowed_extremum(np.array(block), width, mode)
+                    assert ours.shape == (rows, n)
+                    for got, row in zip(ours, block):
+                        assert np.array_equal(got, naive_windowed(row, width, mode)), (width, mode)
+
+    def test_long_row_against_deque(self):
+        rng = np.random.default_rng(132)
+        series = rng.integers(-50, 50, 200_000).astype(np.float64)
+        for width, mode in ((5, "min"), (1023, "max"), (4096, "min"), (150_001, "max")):
+            want = deque_windowed(series.tolist(), width, mode)
+            assert np.array_equal(windowed_extremum(series, width, mode), want), (width, mode)
+
+    def test_input_is_not_modified(self):
+        series = np.array([3.0, 1.0, 2.0, 0.0])
+        series.flags.writeable = False
+        assert list(windowed_extremum(series, 2, "min")) == [1.0, 0.0, 0.0, 0.0]
+        assert list(series) == [3.0, 1.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("width", [800, 500_000])
+    def test_peak_memory_of_a_long_series(self, width):
+        # One call on 1e6 samples works in place on one copy of the series:
+        # its traced peak stays below 3 series of doubles (ROADMAP item 7).
+        n = 1_000_000
+        series = np.random.default_rng(133).standard_normal(n)
+        tracemalloc.start()
+        try:
+            windowed_extremum(series, width, "max")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n, peak / (8 * n)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
