@@ -69,13 +69,16 @@ class CliError(Exception):
 
 
 @contextmanager
-def _writing(what: str):
-    """Turn an OSError raised while writing `what` into the CliError
-    `cannot write <what>: <reason>`."""
+def _faults(verb: str, what: str):
+    """Turn an OSError raised in the block into the CliError `cannot <verb>
+    <what>: <reason>`, and a UnicodeDecodeError into `<what> is not UTF-8:
+    <reason>`. Every file-system call of the CLI runs in one."""
     try:
         yield
     except OSError as exc:
-        raise CliError(f"cannot write {what}: {exc}") from None
+        raise CliError(f"cannot {verb} {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} is not UTF-8: {exc}") from None
 
 
 def builtin_spec_path(name: str) -> Path:
@@ -91,12 +94,8 @@ def _load_spec(spec_arg: str) -> Specification:
         path = builtin_spec_path(spec_arg[len(BUILTIN_PREFIX):])
     else:
         path = Path(spec_arg)
-    try:
+    with _faults("read", f"specification {path}"):
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read specification {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"specification {path} is not UTF-8: {exc}") from None
     try:
         spec = parse_spec(source)
     except ParseError as exc:
@@ -108,9 +107,11 @@ def _load_spec(spec_arg: str) -> Specification:
 
 def _trace_paths(directory: str) -> list[str]:
     root = Path(directory)
-    if not root.is_dir():
-        raise CliError(f"not a directory: {directory}")
-    paths = sorted(os.fspath(p) for p in root.iterdir() if p.suffix in (".csv", ".json"))
+    with _faults("read", f"directory {directory}"):
+        if not root.is_dir():
+            raise CliError(f"not a directory: {directory}")
+        paths = sorted(p for p in map(os.fspath, root.iterdir())
+                       if _stem_suffix(p)[1] in (".csv", ".json"))
     if not paths:
         raise CliError(f"no .csv or .json traces in {directory}")
     return paths
@@ -126,11 +127,8 @@ def _read(spec: Specification, path: str):
     """A JSON trace file's Trace, or a CSV trace file's header declarations
     and body lines (`split_trace_csv`); the file's bytes and text are not
     kept. A read or decode fault is a CliError naming the file."""
-    try:
-        with open(path, "rb") as file:
-            data = file.read()
-    except OSError as exc:
-        raise CliError(f"cannot read trace {path}: {exc}") from None
+    with _faults("read", f"trace {path}"), open(path, "rb") as file:
+        data = file.read()
     try:
         if _stem_suffix(path)[1] == ".json":
             return load_trace_json(data, spec)
@@ -230,9 +228,10 @@ def _ordered_map(job, items) -> list:
     first fault in item order is the one raised. The chunks the workers
     have already taken then finish, the rest are cancelled, and no worker
     is killed; a worker that dies raises BrokenProcessPool, which `run`
-    reports with exit code 2. The workers are forked: a spawned one would
-    first start an interpreter and import numpy, 0.13 s on a 2-vCPU Xeon,
-    before its first chunk."""
+    reports with exit code 2. A fork that fails is a CliError, raised once
+    the workers forked before it are stopped. The workers are forked: a
+    spawned one would first start an interpreter and import numpy, 0.13 s
+    on a 2-vCPU Xeon, before its first chunk."""
     workers = _cpu_count()
     size = -(-len(items) // (8 * workers))
     if workers == 1 or size >= len(items) or not hasattr(os, "fork"):
@@ -242,6 +241,7 @@ def _ordered_map(job, items) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = [items[i:i + size] for i in range(0, len(items), size)]
+    others = set(multiprocessing.active_children())  # the caller's, if any
     sys.stdout.flush()  # a forked worker must not inherit buffered output
     with ProcessPoolExecutor(min(workers, len(chunks)),
                              mp_context=multiprocessing.get_context("fork")) as pool:
@@ -254,7 +254,14 @@ def _ordered_map(job, items) -> list:
                 "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
                 r"may lead to deadlocks in the child\.$", DeprecationWarning,
             )
-            parts = pool.map(job, chunks)
+            try:
+                with _faults("start", "worker processes"):
+                    parts = pool.map(job, chunks)
+            except CliError:  # a fork failed: the workers forked before it wait for work
+                for child in set(multiprocessing.active_children()) - others:
+                    child.terminate()
+                    child.join()
+                raise
         return [x for part in parts for x in part]
 
 
@@ -265,11 +272,11 @@ def _json_dump(obj) -> str:
 def _emit(text: str, out: str | None) -> None:
     """Write text to the file `out`, or to standard output if out is None."""
     if out:
-        with _writing(out):
+        with _faults("write", out):
             Path(out).write_text(text, encoding="utf-8")
         return
     try:
-        with _writing("standard output"):
+        with _faults("write", "standard output"):
             sys.stdout.write(text)
             sys.stdout.flush()
     except CliError:
@@ -335,7 +342,7 @@ def _write_profiles(out_dir: str, chunk: list[Trace], profiles, written: set[str
             raise CliError(f"trace '{trace.id}': duplicate id for --profile-out")
         written.add(trace.id)
         write = columns_csv_writer(trace.times)
-        with _writing(f"profiles to {out_dir}"):
+        with _faults("write", f"profiles to {out_dir}"):
             if i == 0:  # once per call, after the first id is checked
                 root.mkdir(parents=True, exist_ok=True)
             for profile in profiles[i * k:(i + 1) * k]:
@@ -445,7 +452,7 @@ def _simulate_chunk(cfg, params, out_dir: Path, seeds: range) -> list[str]:
         [ep] = simulate_fleet(cfg, params, 1, seed)
         name = f"trace_{ep.seed:06d}.csv"
         text = write_trace_csv(ep.trace)
-        with _writing(f"fleet to {out_dir}"):
+        with _faults("write", f"fleet to {out_dir}"):
             (out_dir / name).write_text(text, encoding="utf-8")
         rows.append(f"{name},{ep.outcome},{ep.steps},"
                     f"{format_number(ep.goal[0])},{format_number(ep.goal[1])}")
@@ -459,10 +466,8 @@ def _cmd_simulate(args) -> int:
         cfg, pre, post = builtin_presets()
         policies = {"pre": pre, "post": post}
     else:
-        try:
+        with _faults("read", f"config {args.config}"):
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}") from None
         try:
             cfg, policies = parse_config_text(text)
         except ConfigError as exc:
@@ -478,7 +483,7 @@ def _cmd_simulate(args) -> int:
         raise CliError(str(exc)) from None
 
     out_dir = Path(args.out)
-    with _writing(f"fleet to {out_dir}"):
+    with _faults("write", f"fleet to {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
         if next(out_dir.iterdir(), None) is not None:  # an earlier fleet would mix into this one
             raise OSError("directory is not empty")
@@ -498,7 +503,7 @@ def _cmd_simulate(args) -> int:
         "# episodes: file,outcome,steps,goal_x,goal_y",
         *rows,
     ]
-    with _writing(f"fleet to {out_dir}"):
+    with _faults("write", f"fleet to {out_dir}"):
         (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     _emit(f"wrote {len(rows)} traces to {out_dir}\n", None)
     return 0

@@ -752,12 +752,31 @@ class TestPathStrings:
             for path in (name, f"d/{name}", f"./d//{name}", f"/abs.d/{name}"):
                 assert stlmon.cli._stem_suffix(path) == (Path(path).stem, Path(path).suffix), path
 
-    def test_listing_is_strings_in_file_name_order(self, tmp_path):
+    def test_listing_is_strings_in_file_name_order(self, tmp_path, monkeypatch):
         for name in ("b.csv", "a.json", "c.txt", "A.csv"):
             (tmp_path / name).write_text("")
         assert stlmon.cli._trace_paths(str(tmp_path) + "/") == [
             os.fspath(tmp_path / name) for name in ("A.csv", "a.json", "b.csv")
         ]
+        d = tmp_path / "d"
+        d.mkdir()
+        for name in self.NAMES:
+            (d / name).write_text("")
+        (d / "d.csv").mkdir()  # listed by its name; reading it is the fault
+        listed = sorted(["t.csv", "a.b.csv", "..csv", "...json", ".hidden.csv", "a..csv",
+                         "v.json.csv", "w.csv.json", "d.csv"])
+        monkeypatch.chdir(tmp_path)
+        for form, prefix in ((str(d), f"{d}/"), (f"{d}//", f"{d}/"), ("d", "d/"),
+                             ("./d/", "d/"), ("d/.", "d/"), (os.fspath(d / "."), f"{d}/")):
+            paths = stlmon.cli._trace_paths(form)
+            assert paths == [prefix + name for name in listed], form
+            assert paths == sorted(os.fspath(p) for p in Path(form).iterdir()
+                                   if p.suffix in (".csv", ".json")), form
+        monkeypatch.chdir(d)
+        assert stlmon.cli._trace_paths(".") == listed
+        assert stlmon.cli._trace_paths(".") == sorted(
+            os.fspath(p) for p in Path(".").iterdir() if p.suffix in (".csv", ".json")
+        )
 
     def test_trace_ids_of_odd_names(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -886,6 +905,66 @@ class TestWriteErrors:
         assert out.read_text() == "not a directory\n"
 
 
+class TestReadErrors:
+    """An input that cannot be read, listed or decoded as UTF-8 exits 2 with
+    one named error line."""
+
+    def test_specification_and_config(self, workspace, tmp_path, capsys):
+        latin = tmp_path / "latin.txt"
+        latin.write_bytes(b"# caf\xe9\n")
+        missing = tmp_path / "missing.txt"
+        trace = str(workspace / "ok.csv")
+        sim = ["--policy", "pre", "--n", "1", "--out", str(tmp_path / "x")]
+        reason = "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"
+        for argv, err in (
+            (["check", str(missing), trace], f"cannot read specification {missing}: "
+             f"[Errno 2] No such file or directory: '{missing}'"),
+            (["check", str(latin), trace], f"specification {latin} is not UTF-8: {reason}"),
+            (["simulate", "--config", str(missing), *sim], f"cannot read config {missing}: "
+             f"[Errno 2] No such file or directory: '{missing}'"),
+            (["simulate", "--config", str(latin), *sim], f"config {latin} is not UTF-8: {reason}"),
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_directory_that_cannot_be_listed(self, workspace, command, monkeypatch, capsys):
+        iterdir = Path.iterdir
+
+        def locked(path):  # as os.listdir fails on a directory without read permission
+            if path.name == "locked":
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            yield from iterdir(path)
+
+        monkeypatch.setattr(Path, "iterdir", locked)
+        monkeypatch.chdir(workspace)
+        (workspace / "locked").mkdir()
+        dirs = ["locked"] if command == "report" else [".", "locked"]
+        for cpus in (1, 2):
+            monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda n=cpus: n)
+            assert run([command, "rules.stl", *dirs]) == 2
+            assert capsys.readouterr() == (
+                "", "error: cannot read directory locked: [Errno 13] Permission denied: 'locked'\n"
+            )
+
+    def test_directory_without_read_permission(self, workspace, monkeypatch, capsys):
+        monkeypatch.chdir(workspace)
+        locked = fill_dir(workspace / "locked", [10, 20])
+        fill_dir(locked / "in", [10, 20])
+        locked.chmod(0)
+        try:
+            if os.access(locked, os.R_OK):
+                pytest.skip("this user reads a directory without read permission (root)")
+            for d in ("locked", "locked/in"):  # listing it; finding whether it is one
+                assert run(["report", "rules.stl", d]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: cannot read directory {d}: [Errno 13] Permission denied: '{d}'\n"
+                )
+        finally:
+            locked.chmod(0o755)
+
+
 class TestEvaluationFaults:
     SPEC = "signal x : real\nsignal y : real\nrule r: y > 0\n"
 
@@ -939,9 +1018,28 @@ class TestEvaluationFaults:
         assert multiprocessing.active_children() == []
 
 
+def run_in_session(code: str) -> tuple[int, str]:
+    """Run Python `code` in a session of its own, so that a timeout can stop
+    its workers too. Returns the exit code and stderr; no process of the
+    session may outlive it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after 60 s:\n{code}")
+    with pytest.raises(ProcessLookupError):  # no worker is left behind
+        os.killpg(proc.pid, 0)
+    return proc.returncode, err
+
+
 class TestPoolFaults:
-    """A fault stops the pool without killing a worker, and a worker that
-    dies is an error, not a wait."""
+    """A fault stops the pool without killing a worker; a worker that dies
+    is an error, not a wait; and a worker that cannot be forked is an
+    error that stops the workers forked before it."""
 
     def test_faulty_file_terminates_no_worker(self, workspace, tmp_path, monkeypatch, capsys):
         from multiprocessing.process import BaseProcess
@@ -963,7 +1061,7 @@ class TestPoolFaults:
 
     def test_dead_worker_is_an_error_not_a_wait(self, workspace, tmp_path):
         fleet = fill_dir(tmp_path / "fleet", range(40))
-        code = (
+        returncode, err = run_in_session(
             "import os, signal, sys, stlmon.cli\n"
             "stlmon.cli._cpu_count = lambda: 2\n"
             "evaluate = stlmon.cli.evaluate_specification\n"
@@ -975,21 +1073,38 @@ class TestPoolFaults:
             f"sys.exit(stlmon.cli.run(['report', {str(workspace / 'rules.stl')!r}, "
             f"{str(fleet)!r}]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
-        # A session of its own, so that a timeout can stop the workers too.
-        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, env=env,
-                                start_new_session=True)
-        try:
-            _, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("report still waiting on a dead worker after 60 s")
-        assert proc.returncode == 2
+        assert returncode == 2
         assert "BrokenProcessPool" in err
         assert err.startswith("error: report: a worker process died (BrokenProcessPool: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_failed_fork_is_an_error_not_a_wait(self, workspace, tmp_path, failing_fork):
+        """The pool forks its workers at the first submit. When the second
+        fork fails, the first worker is already waiting for work. A process
+        the caller started is not the pool's to stop."""
+        fleet = fill_dir(tmp_path / "fleet", range(40))
+        returncode, err = run_in_session(
+            "import multiprocessing, os, sys, time, stlmon.cli\n"
+            "stlmon.cli._cpu_count = lambda: 2\n"
+            "own = multiprocessing.get_context('fork').Process(target=time.sleep, args=(60,))\n"
+            "own.start()\n"
+            "fork, forks = os.fork, []\n"
+            "def failing():\n"
+            "    forks.append(None)\n"
+            f"    if len(forks) == {failing_fork}:\n"
+            "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+            "    return fork()\n"
+            "os.fork = failing\n"
+            f"code = stlmon.cli.run(['report', {str(workspace / 'rules.stl')!r}, {str(fleet)!r}])\n"
+            "assert own.is_alive(), 'the caller\\'s process was stopped'\n"
+            "own.terminate()\n"
+            "own.join()\n"
+            "sys.exit(code)\n"
+        )
+        assert (returncode, err) == (
+            2, "error: cannot start worker processes: [Errno 11] Resource temporarily unavailable\n"
+        )
 
 
 class TestEntryPoints:
