@@ -51,7 +51,7 @@ from .traces import (
     TraceError,
     columns_csv_writer,
     load_csv_bodies,
-    load_trace_csv,  # kept only for bench/traced.py's traces.load_csv layer (ROADMAP item 4)
+    load_trace_csv,  # kept only for bench/traced.py's traces.load_csv layer (ROADMAP item 6)
     load_trace_json,
     split_trace_csv,
     write_trace_csv,
@@ -110,8 +110,9 @@ def _trace_paths(directory: str) -> list[str]:
     with _faults("read", f"directory {directory}"):
         if not root.is_dir():
             raise CliError(f"not a directory: {directory}")
-        paths = sorted(p for p in map(os.fspath, root.iterdir())
-                       if _stem_suffix(p)[1] in (".csv", ".json"))
+        with os.scandir(root) as entries:  # a subdirectory is no trace, whatever its name
+            paths = sorted(os.fspath(root / e.name) for e in entries
+                           if _stem_suffix(e.name)[1] in (".csv", ".json") and not e.is_dir())
     if not paths:
         raise CliError(f"no .csv or .json traces in {directory}")
     return paths
@@ -123,35 +124,35 @@ def _stem_suffix(path: str) -> tuple[str, str]:
     return (name[:dot], name[dot:]) if 0 < dot < len(name) - 1 else (name, "")
 
 
-def _read(spec: Specification, path: str):
-    """A JSON trace file's Trace, or a CSV trace file's header declarations
-    and body lines (`split_trace_csv`); the file's bytes and text are not
-    kept. A read or decode fault is a CliError naming the file."""
+def _read(spec: Specification, path: str) -> tuple:
+    """(decls, lines) of a CSV trace file (`split_trace_csv`), or (None,
+    Trace) of a JSON one; the file's bytes and text are not kept. A read
+    or decode fault is a CliError naming the file."""
     with _faults("read", f"trace {path}"), open(path, "rb") as file:
         data = file.read()
     try:
         if _stem_suffix(path)[1] == ".json":
-            return load_trace_json(data, spec)
+            return None, load_trace_json(data, spec)
         return split_trace_csv(data, spec)
     except TraceError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
 def _decoded(files: list) -> Iterator[list[Trace]]:
-    """The traces of a chunk of read (path, Trace or CSV lines) files, as
-    one list. Each run of CSV files with one header is parsed with one
+    """The traces of a chunk of read (path, decls, lines or Trace) files,
+    as one list. Each run of CSV files with one header is parsed with one
     `load_csv_bodies` call, which yields its traces in file order and
     raises at the first faulty file: the traces before it are yielded,
     then its CliError is raised."""
     traces = []
     try:
-        for decls, run in groupby(files, lambda f: f[1][0] if isinstance(f[1], tuple) else None):
-            run = list(run)
+        for decls, run in groupby(files, itemgetter(1)):
+            paths, _, payloads = zip(*run)
             if decls is None:  # JSON traces, decoded when read
-                traces += [trace for _, trace in run]
+                traces += payloads
             else:
-                traces.extend(load_csv_bodies(decls, [body for _, (_, body) in run],
-                                              [_stem_suffix(path)[0] for path, _ in run]))
+                traces.extend(load_csv_bodies(decls, payloads,
+                                              [_stem_suffix(path)[0] for path in paths]))
     except TraceError as exc:
         if traces:
             yield traces
@@ -171,32 +172,27 @@ def _chunks(spec: Specification, paths: Iterable[str]) -> Iterator[list[Trace]]:
     samples = 0
     for path in paths:
         try:
-            item = _read(spec, path)
+            decls, payload = _read(spec, path)
         except CliError:
             yield from _decoded(files)
             raise
-        n = len(item[1]) if isinstance(item, tuple) else len(item)
-        if files and samples + n > BLOCK_SAMPLES:
+        if files and samples + len(payload) > BLOCK_SAMPLES:
             yield from _decoded(files)
             files, samples = [], 0
-        files.append((path, item))
-        samples += n
+        files.append((path, decls, payload))
+        samples += len(payload)
     yield from _decoded(files)
 
 
-def _evaluated(spec: Specification, items) -> list[RobustnessResult]:
-    """Every rule's result on the trace file of each (fleet, path) item,
-    flat in (item, rule) order. No chunk mixes two fleets."""
-    return [r for _, fleet in groupby(items, itemgetter(0))
-            for chunk in _chunks(spec, [path for _, path in fleet])
-            for r in evaluate_specification(spec, *chunk)]
+def _evaluated(spec: Specification, paths: list[str]) -> list[RobustnessResult]:
+    """Every rule's result on each trace file, flat in (path, rule) order."""
+    return [r for chunk in _chunks(spec, paths) for r in evaluate_specification(spec, *chunk)]
 
 
 def _fleet_reports(spec: Specification, *fleets: list[str]) -> list[list[FleetReport]]:
     """Each fleet's per-rule reports, from one ordered pass over the files
-    of all the fleets."""
-    items = [(i, path) for i, fleet in enumerate(fleets) for path in fleet]
-    results = _ordered_map(partial(_evaluated, spec), items)
+    of all the fleets, whose chunks may span two fleets."""
+    results = _ordered_map(partial(_evaluated, spec), [path for fleet in fleets for path in fleet])
     k, start, reports = len(spec.rules), 0, []
     for fleet in fleets:
         end = start + len(fleet) * k

@@ -15,6 +15,7 @@ otherwise the normal approximation with tie and continuity corrections.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Sequence
 
 from .formula import _Record
@@ -59,7 +60,7 @@ class MannWhitneyResult(_Record):
 def fleet_report(rule_name: str, results: Sequence[RobustnessResult]) -> FleetReport:
     """Aggregate per-trace robustness results for one rule into a report.
 
-    Robustness of exactly 0 counts as satisfied.
+    Robustness of exactly 0 counts as satisfied; a non-finite one is an error.
     """
     if not results:
         raise ValueError(f"no traces for rule '{rule_name}'")
@@ -69,6 +70,8 @@ def fleet_report(rule_name: str, results: Sequence[RobustnessResult]) -> FleetRe
                 f"result for rule '{r.rule_name}' mixed into fleet '{rule_name}'"
             )
     rhos = tuple(r.rho for r in results)
+    if not all(map(math.isfinite, rhos)):
+        raise ValueError(f"non-finite robustness for rule '{rule_name}'")
     n = len(rhos)
     satisfied = sum(1 for rho in rhos if rho >= 0)
     return FleetReport(
@@ -81,20 +84,21 @@ def fleet_report(rule_name: str, results: Sequence[RobustnessResult]) -> FleetRe
     )
 
 
-def _ranks(pooled: list[float]) -> list[float]:
-    """Fractional ranks (1-based); ties get the mean of their rank range."""
-    order = sorted(range(len(pooled)), key=pooled.__getitem__)
+def _ranks(pooled: list[float]) -> tuple[list[float], list[int]]:
+    """Fractional ranks (1-based), where tied values get the mean of their
+    rank range, and the size of each group of equal values, from one sort."""
     ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    sizes: list[int] = []
+    below = 0
+    for _, group in groupby(sorted(range(len(pooled)), key=pooled.__getitem__),
+                            key=pooled.__getitem__):
+        group = list(group)
+        mean_rank = below + (len(group) + 1) / 2
+        for k in group:
+            ranks[k] = mean_rank
+        below += len(group)
+        sizes.append(len(group))
+    return ranks, sizes
 
 
 def _exact_u_tail(n_a: int, n_b: int, u_big: int) -> float:
@@ -124,7 +128,8 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> Mann
 
     Exact method when the combined size is at most EXACT_LIMIT and there
     are no ties; otherwise normal approximation with tie correction and
-    a 0.5 continuity correction. All-identical samples yield p = 1.
+    a 0.5 continuity correction. All-identical samples yield p = 1. A NaN
+    value, which has no rank, is a ValueError.
     """
     a = [float(x) for x in sample_a]
     b = [float(x) for x in sample_b]
@@ -132,23 +137,20 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> Mann
         raise ValueError("both samples must be nonempty")
     n_a, n_b = len(a), len(b)
     pooled = a + b
-    ranks = _ranks(pooled)
+    if any(map(math.isnan, pooled)):
+        raise ValueError("samples must not contain NaN")
+    ranks, sizes = _ranks(pooled)
     r_a = math.fsum(ranks[:n_a])
     u_a = r_a - n_a * (n_a + 1) / 2
     u_b = n_a * n_b - u_a
     u_big = max(u_a, u_b)
 
-    has_ties = len(set(pooled)) != len(pooled)
-    if n_a + n_b <= EXACT_LIMIT and not has_ties:
+    if n_a + n_b <= EXACT_LIMIT and max(sizes) == 1:  # no ties
         p = 2.0 * _exact_u_tail(n_a, n_b, int(round(u_big)))
         return MannWhitneyResult(u_a, min(p, 1.0), EXACT_METHOD)
 
     n = n_a + n_b
-    seen: dict[float, int] = {}
-    for x in pooled:
-        seen[x] = seen.get(x, 0) + 1
-    tie_sizes = [c for c in seen.values() if c > 1]
-    tie_term = sum(c**3 - c for c in tie_sizes)
+    tie_term = sum(c**3 - c for c in sizes)
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
         # every pooled value identical: no rank information at all

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 from typing import Union
 
@@ -255,7 +255,7 @@ def split_trace_csv(data: Union[bytes, str], spec: Specification) -> tuple[tuple
     return tuple(decls), lines
 
 
-def load_csv_bodies(decls: tuple, bodies: list[list[str]], ids: list[str]) -> Iterator[Trace]:
+def load_csv_bodies(decls: tuple, bodies: Sequence[list[str]], ids: list[str]) -> Iterator[Trace]:
     """The table half of `load_trace_csv`: yield the traces of CSV bodies
     under one header, split by `split_trace_csv`, in body order, parsed
     with one `np.loadtxt` call. A faulty body raises the TraceError it

@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -537,11 +538,10 @@ class TestOneFileAtATime:
             "compare": [str(fleet), str(fleet)],
         }
         assert run([command.split()[0], str(workspace / "rules.stl"), *targets[command]]) == 0
-        # one parse and one evaluation for the chunk's three files
-        one_pass = [("split", 2), ("split", 2), ("split", 2),
-                    ("parse", ("t000", "t001", "t002")),
-                    ("evaluate", ("t000", "t001", "t002"), 6)]
-        assert log == one_pass * (2 if command == "compare" else 1)
+        # one parse and one evaluation for the chunk's files: compare's two
+        # fleets share a header, so their six files are one run
+        ids = ("t000", "t001", "t002") * (2 if command == "compare" else 1)
+        assert log == [*[("split", 2)] * len(ids), ("parse", ids), ("evaluate", ids, 2 * len(ids))]
 
     def test_fleet_over_the_budget_is_evaluated_in_several_chunks(
         self, workspace, tmp_path, monkeypatch
@@ -625,30 +625,62 @@ class TestFleetOutputs:
     """`report` and `compare` split their files over worker processes; what
     they print must not depend on how many there are."""
 
-    @pytest.fixture(scope="class")
-    def fleets(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("fleets")
-        for policy in ("pre", "post"):
-            assert run(["simulate", "--preset", "--policy", policy, "--n", "40",
+    @staticmethod
+    def simulated(root, n_pre, n_post):
+        for policy, n in (("pre", n_pre), ("post", n_post)):
+            assert run(["simulate", "--preset", "--policy", policy, "--n", str(n),
                         "--seed", "7", "--out", str(root / policy)]) == 0
         return root
 
-    @pytest.mark.parametrize("fmt", ["json", "table"])
-    def test_outputs_do_not_depend_on_the_cpu_count(self, fleets, fmt, monkeypatch, capsys):
+    @pytest.fixture(scope="class")
+    def fleets(self, tmp_path_factory):
+        return self.simulated(tmp_path_factory.mktemp("fleets"), 40, 40)
+
+    @staticmethod
+    def outputs(commands, fmt, monkeypatch, capsys, cpu_counts=(1, 2, 3)) -> list[str]:
+        """The output of each command on each CPU count, in that order."""
         capsys.readouterr()
-        commands = [["report", str(fleets / "pre")], ["report", str(fleets / "post")],
-                    ["compare", str(fleets / "pre"), str(fleets / "post")]]
         outputs = []
-        for cpus in (1, 2, 3):
+        for cpus in cpu_counts:
             monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda n=cpus: n)
             for command, *dirs in commands:
                 assert run([command, "builtin:turtlebot", *dirs, "--format", fmt]) == 0
                 captured = capsys.readouterr()
                 assert captured.err == ""
                 outputs.append(captured.out)
+        return outputs
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, fleets, fmt, monkeypatch, capsys):
+        commands = [["report", str(fleets / "pre")], ["report", str(fleets / "post")],
+                    ["compare", str(fleets / "pre"), str(fleets / "post")]]
+        outputs = self.outputs(commands, fmt, monkeypatch, capsys)
         one_cpu = outputs[:3]
         assert ('"n": 40' if fmt == "json" else "(n=40)") in one_cpu[0]
         assert outputs == one_cpu * 3
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_a_chunk_that_spans_both_fleets(self, tmp_path, fmt, monkeypatch, capsys):
+        # 33 files go to the pool in chunks of 3 on 2 CPUs and of 2 on 3
+        # CPUs: either way one chunk holds pre's last file and post's first
+        fleets = self.simulated(tmp_path, 19, 14)
+        outputs = self.outputs([["compare", str(fleets / "pre"), str(fleets / "post")]],
+                               fmt, monkeypatch, capsys)
+        assert ('"n": 19' if fmt == "json" else "Mann-Whitney U=") in outputs[0]
+        assert outputs == outputs[:1] * 3
+
+    def test_a_subdirectory_named_like_a_trace_is_skipped(self, fleets, tmp_path, monkeypatch,
+                                                          capsys):
+        withdir = tmp_path / "withdir"
+        shutil.copytree(fleets / "pre", withdir)
+        (withdir / "extra.csv").mkdir()
+        (withdir / "extra.json").mkdir()
+        pre, post = str(fleets / "pre"), str(fleets / "post")
+        for fmt in ("json", "table"):
+            outputs = self.outputs([["report", pre], ["compare", pre, post],
+                                    ["report", str(withdir)], ["compare", str(withdir), post]],
+                                   fmt, monkeypatch, capsys, cpu_counts=(1, 2))
+            assert outputs == outputs[:2] * 4
 
 
 class TestChunkFaultOrder:
@@ -762,21 +794,35 @@ class TestPathStrings:
         d.mkdir()
         for name in self.NAMES:
             (d / name).write_text("")
-        (d / "d.csv").mkdir()  # listed by its name; reading it is the fault
+        (d / "d.csv").mkdir()  # a directory is not listed, whatever its name
         listed = sorted(["t.csv", "a.b.csv", "..csv", "...json", ".hidden.csv", "a..csv",
-                         "v.json.csv", "w.csv.json", "d.csv"])
+                         "v.json.csv", "w.csv.json"])
         monkeypatch.chdir(tmp_path)
         for form, prefix in ((str(d), f"{d}/"), (f"{d}//", f"{d}/"), ("d", "d/"),
                              ("./d/", "d/"), ("d/.", "d/"), (os.fspath(d / "."), f"{d}/")):
             paths = stlmon.cli._trace_paths(form)
             assert paths == [prefix + name for name in listed], form
             assert paths == sorted(os.fspath(p) for p in Path(form).iterdir()
-                                   if p.suffix in (".csv", ".json")), form
+                                   if p.suffix in (".csv", ".json") and not p.is_dir()), form
         monkeypatch.chdir(d)
         assert stlmon.cli._trace_paths(".") == listed
         assert stlmon.cli._trace_paths(".") == sorted(
-            os.fspath(p) for p in Path(".").iterdir() if p.suffix in (".csv", ".json")
+            os.fspath(p) for p in Path(".").iterdir()
+            if p.suffix in (".csv", ".json") and not p.is_dir()
         )
+
+    def test_broken_link_named_like_a_trace_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # listed like a file: skipping it would change n without a word
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        d = fill_dir(tmp_path / "d", [10, 20, 30])
+        (d / "t001.csv").rename(d / "t001.txt")
+        (d / "t001.csv").symlink_to("gone.csv")
+        for argv in (["report", "r.stl", "d"], ["compare", "r.stl", "d", "d"]):
+            assert fault_on_each_cpu_count(monkeypatch, capsys, argv) == (
+                "error: cannot read trace d/t001.csv: [Errno 2] No such file or directory: "
+                "'d/t001.csv'\n"
+            )
 
     def test_trace_ids_of_odd_names(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -930,14 +976,14 @@ class TestReadErrors:
 
     @pytest.mark.parametrize("command", ["report", "compare"])
     def test_directory_that_cannot_be_listed(self, workspace, command, monkeypatch, capsys):
-        iterdir = Path.iterdir
+        scandir = os.scandir
 
-        def locked(path):  # as os.listdir fails on a directory without read permission
-            if path.name == "locked":
+        def locked(path):  # as os.scandir fails on a directory without read permission
+            if os.path.basename(path) == "locked":
                 raise PermissionError(13, "Permission denied", os.fspath(path))
-            yield from iterdir(path)
+            return scandir(path)
 
-        monkeypatch.setattr(Path, "iterdir", locked)
+        monkeypatch.setattr(os, "scandir", locked)
         monkeypatch.chdir(workspace)
         (workspace / "locked").mkdir()
         dirs = ["locked"] if command == "report" else [".", "locked"]

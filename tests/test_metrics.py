@@ -53,6 +53,12 @@ class TestFleetReport:
         with pytest.raises(ValueError, match="mixed"):
             fleet_report("r", results)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_robustness_rejected(self, rho):
+        # a NaN would be left out of the satisfaction count and published as TRV
+        with pytest.raises(ValueError, match="non-finite robustness for rule 'r'"):
+            fleet_report("r", results_for("r", [1.0, rho, -2.0]))
+
     def test_concatenation_linearity(self):
         rng = random.Random(21)
         for _ in range(100):
@@ -97,6 +103,15 @@ class TestMannWhitney:
             mann_whitney_u([], [1.0])
         with pytest.raises(ValueError):
             mann_whitney_u([1.0], [])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_rejected(self, position):
+        # NaN has no place in the sorted order: U would depend on where it sits
+        a = [1.0, 2.0]
+        a.insert(position, math.nan)
+        for x, y in ((a, [3.0, 0.5, 4.0]), ([3.0, 0.5, 4.0], a)):
+            with pytest.raises(ValueError, match="NaN"):
+                mann_whitney_u(x, y)
 
     def test_u_sum_identity_and_symmetry(self):
         rng = random.Random(23)
