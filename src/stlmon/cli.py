@@ -124,11 +124,21 @@ def _stem_suffix(path: str) -> tuple[str, str]:
     return (name[:dot], name[dot:]) if 0 < dot < len(name) - 1 else (name, "")
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    """`open`'s opener for a trace file: a FIFO opens at once, without
+    waiting for a writer."""
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def _read(spec: Specification, path: str) -> tuple:
     """(decls, lines) of a CSV trace file (`split_trace_csv`), or (None,
     Trace) of a JSON one; the file's bytes and text are not kept. A read
-    or decode fault is a CliError naming the file."""
-    with _faults("read", f"trace {path}"), open(path, "rb") as file:
+    or decode fault is a CliError naming the file. A FIFO is opened
+    without waiting for a writer and then read as a pipe is, to the end of
+    its writers' output: one that no process writes to reads as empty at
+    once, a decode fault, where a plain open would wait for ever."""
+    with _faults("read", f"trace {path}"), open(path, "rb", opener=_open_nonblocking) as file:
+        os.set_blocking(file.fileno(), True)
         data = file.read()
     try:
         if _stem_suffix(path)[1] == ".json":

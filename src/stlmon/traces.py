@@ -17,15 +17,23 @@ column once: bool and enum cells are looked up among the column's valid
 cells. Each trace's columns are slices of the table's columns.
 `load_trace_csv` is the one-file case of the two; the CLI parses a run of
 files with one call. The JSON loader decodes each signal's array in one
-pass through `_decode_column`; the writer formats each column from one
-`tolist()`. Each loader has one fault walk: when the bulk decode fails,
-the walk visits the values in order and raises the first bad one with
-its row (`_raise_first_fault` over one CSV body, in row-major order and
-with the column; `_check_value` over the failed signal for JSON). When
-the table of several CSV bodies fails, they are loaded one at a time,
-so the first faulty body raises after the traces of those before it. A
-CSV file that holds a NUL always takes the walk, in `split_trace_csv`:
-numpy drops a text cell's trailing NULs. A walk builds no trace.
+pass through `_decode_column`.
+
+The CSV writer formats all the real columns of a trace in one numpy
+pass (`_real_cells`): one set of finite, integral and scientific masks,
+one `tolist()` and one `map(repr)`; integral cells are overwritten from
+one int64 conversion, and only scientific ones go through
+`format_number`. The JSON writer converts each column with one
+`tolist()`.
+
+Each loader has one fault walk: when the bulk decode fails, the walk
+visits the values in order and raises the first bad one with its row
+(`_raise_first_fault` over one CSV body, in row-major order and with the
+column; `_check_value` over the failed signal for JSON). When the table
+of several CSV bodies fails, they are loaded one at a time, so the first
+faulty body raises after the traces of those before it. A CSV file that
+holds a NUL always takes the walk, in `split_trace_csv`: numpy drops a
+text cell's trailing NULs. A walk builds no trace.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 from typing import Union
 
 import numpy as np
@@ -386,32 +394,38 @@ def load_trace_json(data: Union[bytes, str], spec: Specification) -> Trace:
     return Trace(obj["id"], dt, times, channels)
 
 
-def _real_cells(values: np.ndarray) -> list[str]:
-    """`format_number` of each value, a column at a time: `repr` is already
-    that form except for integral values under 1e16, written as integers,
-    and values whose repr is in scientific notation (under 1e-4 or at
-    least 1e16), which alone go through `format_number`."""
+def _real_cells(columns: list[np.ndarray]) -> list[list[str]]:
+    """`format_number` of each value of real columns, in one pass over all
+    of them: `repr` is already that form except for integral values under
+    1e16, written as integers, and values whose repr is in scientific
+    notation (under 1e-4 or at least 1e16), which alone go through
+    `format_number`. A non-finite value raises its ValueError, the first
+    one of the first column that holds one."""
+    if not columns:
+        return []
+    values = np.concatenate(columns)
     finite = np.isfinite(values)
-    if not finite.all():
-        format_number(float(values[np.argmin(finite)]))  # raises for the first non-finite value
+    if not finite.all():  # raises for the first non-finite value, column by column
+        format_number(float(values[np.argmin(finite)]))
     magnitude = np.abs(values)
     integral = (values == np.trunc(values)) & (magnitude < 1e16)
     integers = map(str, values[integral].astype(np.int64).tolist())
     if integral.all():  # a time column
-        return list(integers)
-    floats = values.tolist()
-    cells = list(map(repr, floats))
-    for i, text in zip(np.flatnonzero(integral).tolist(), integers):
-        cells[i] = text
-    scientific = ~integral & ((magnitude < 1e-4) | (magnitude >= 1e16))
-    for i in np.flatnonzero(scientific).tolist():
-        cells[i] = format_number(floats[i])
-    return cells
+        cells = list(integers)
+    else:
+        floats = values.tolist()
+        cells = list(map(repr, floats))
+        for i, text in zip(np.flatnonzero(integral).tolist(), integers):
+            cells[i] = text
+        scientific = ~integral & ((magnitude < 1e-4) | (magnitude >= 1e16))
+        for i in np.flatnonzero(scientific).tolist():
+            cells[i] = format_number(floats[i])
+    flat = iter(cells)
+    return [list(islice(flat, len(column))) for column in columns]
 
 
-def _format_cells(series: Series) -> list[str]:
-    if series.kind is SignalKind.REAL:
-        return _real_cells(series.values)
+def _flag_cells(series: Series) -> list[str]:
+    """The cells of a bool or enum column."""
     values = series.values.tolist()
     if series.kind is SignalKind.BOOL:
         return ["true" if v else "false" for v in values]
@@ -424,11 +438,15 @@ def write_columns_csv(times: np.ndarray, channels: dict[str, Series]) -> str:
 
 
 def columns_csv_writer(times: np.ndarray) -> Callable[[dict[str, Series]], str]:
-    """`write_columns_csv` on one time column, formatted once for every call."""
-    time_cells = _format_cells(Series(SignalKind.REAL, times))
+    """`write_columns_csv` on one time column, formatted once for every call.
+    Each call formats all its real columns in one `_real_cells` pass."""
+    [time_cells] = _real_cells([times])
 
     def write(channels: dict[str, Series]) -> str:
-        columns = [time_cells, *map(_format_cells, channels.values())]
+        series = channels.values()
+        real_cells = iter(_real_cells([s.values for s in series if s.kind is SignalKind.REAL]))
+        columns = [time_cells, *(next(real_cells) if s.kind is SignalKind.REAL else _flag_cells(s)
+                                 for s in series)]
         lines = [",".join(["time", *channels]), *map(",".join, zip(*columns))]
         return "\n".join(lines) + "\n"
 
@@ -444,12 +462,11 @@ def write_trace_json(trace: Trace) -> str:
     """Serialize a trace to the JSON format accepted by load_trace_json."""
     signals = {}
     for name, series in trace.channels.items():
-        if series.kind is SignalKind.REAL:
-            signals[name] = [float(v) for v in series.values]
-        elif series.kind is SignalKind.BOOL:
-            signals[name] = [bool(v) for v in series.values]
-        else:
-            signals[name] = [series.variants[int(v)] for v in series.values]
+        if series.kind is SignalKind.ENUM:
+            signals[name] = list(map(series.variants.__getitem__, series.values.tolist()))
+        else:  # one tolist() gives Python floats or bools
+            dtype = np.float64 if series.kind is SignalKind.REAL else np.bool_
+            signals[name] = np.asarray(series.values, dtype).tolist()
     return json.dumps({"id": trace.id, "dt": trace.dt, "signals": signals}) + "\n"
 
 

@@ -1,4 +1,5 @@
-"""Independent reference implementations and random generators for tests.
+"""Independent reference implementations and random generators for tests,
+and the digest that pins a directory of outputs.
 
 Everything here is deliberately naive (plain Python loops, direct
 transcription of definitions) and shares no code path with the engine,
@@ -8,12 +9,14 @@ so agreement is meaningful evidence of correctness.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -468,6 +471,47 @@ def random_trace(rng: random.Random, dt: float = 1.0, min_len: int = 2, max_len:
 def random_pair(rng: random.Random, max_depth: int = 4, max_len: int = 50):
     dt = rng.choice((1.0, 0.5, 0.25))
     return random_formula(rng, max_depth, dt), random_trace(rng, dt, max_len=max_len)
+
+
+def fleet_digest(directory: Path) -> str:
+    """sha256 of the lines "<file> <sha256 of its bytes>" for every file of
+    the directory, in name order."""
+    listing = "".join(
+        f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+        for path in sorted(directory.iterdir())
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Scalar SplitMix64 and Box-Muller, transcribed from docs/formats.md
+# ---------------------------------------------------------------------------
+
+class ScalarSplitMix64:
+    """The documented generator one 64-bit word at a time, in Python ints."""
+
+    def __init__(self, *seed_words: int):
+        self.state = 0
+        for word in seed_words:
+            self.state = self.scramble((self.state + word) % 2**64)
+
+    @staticmethod
+    def scramble(z: int) -> int:
+        z ^= z >> 30
+        z = z * 0xBF58476D1CE4E5B9 % 2**64
+        z ^= z >> 27
+        z = z * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        return self.scramble(self.state)
+
+    def normal(self) -> float:
+        """Box-Muller on exactly two words, no cached second deviate."""
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = (self.next_u64() >> 11) * 2.0**-53
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import stlmon
 import stlmon.cli
 from stlmon.cli import BLOCK_SAMPLES, builtin_spec_path, run
+from reference import fleet_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -849,7 +852,100 @@ class TestPathStrings:
         )
 
 
+class TestSpecialFiles:
+    """A trace is read without waiting for a writer that is not there: a
+    FIFO that no process writes to reads as an empty file, a fault at its
+    place in path order. A pipe or FIFO with a writer is read to the end of
+    the writer's output, and a symlink to a trace reads as the trace."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_fifo_without_a_writer_is_an_error_not_a_wait(self, tmp_path, command, cpus):
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        fill_dir(tmp_path / "clean", range(40))
+        for name in ("fifo", "early"):
+            d = fill_dir(tmp_path / name, range(40))
+            (d / "t013.csv").unlink()
+            os.mkfifo(d / "t013.csv")
+            (d / "t020.csv").write_text("time,speed\n0,850\n")  # after the FIFO
+        (tmp_path / "early" / "t005.csv").write_text("time,speed\n0,850\n")  # before it
+        dirs = "'clean', d" if command == "compare" else "d"
+        returncode, err = run_in_session(
+            "import os, sys, stlmon.cli\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            f"stlmon.cli._cpu_count = lambda: {cpus}\n"
+            "for d in ('fifo', 'early'):\n"
+            f"    code = stlmon.cli.run([{command!r}, 'r.stl', {dirs}])\n"
+            "    print(code, file=sys.stderr, flush=True)\n"
+        )
+        assert (returncode, err) == (0, "error: fifo/t013.csv: empty file\n2\n"
+                                        "error: early/t005.csv: fewer than 2 rows\n2\n")
+
+    def test_check_reads_a_pipe_to_its_writers_end(self, tmp_path):
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        env = dict(os.environ, PYTHONPATH=str(Path(stlmon.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stlmon", "check", "--format", "json",
+             str(tmp_path / "r.stl"), "/dev/stdin"],
+            input=COMPLIANT, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [
+            {"trace": "stdin", "rule": "speed_limit", "rho": 30.0, "verdict": "Satisfied"}
+        ]
+
+    def test_check_waits_for_a_fifo_writer_that_is_there(self, tmp_path, capsys):
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        fifo = tmp_path / "live.csv"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as writer:  # opens once check opens the FIFO
+                time.sleep(0.2)  # so that check finds it open and empty
+                writer.write(COMPLIANT)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert run(["check", "--format", "json", str(tmp_path / "r.stl"), str(fifo)]) == 0
+        finally:
+            if writer.is_alive():  # check never opened the FIFO: let the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+        assert json.loads(capsys.readouterr().out) == [
+            {"trace": "live", "rule": "speed_limit", "rho": 30.0, "verdict": "Satisfied"}
+        ]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_symlink_to_a_trace_reads_as_the_trace(self, tmp_path, monkeypatch, capsys, cpus):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(stlmon.cli, "_cpu_count", lambda: cpus)
+        (tmp_path / "r.stl").write_text(SPEC_SRC)
+        fill_dir(tmp_path / "plain", range(40))
+        linked = fill_dir(tmp_path / "linked", range(40))
+        (linked / "t013.csv").rename(tmp_path / "elsewhere.csv")
+        (linked / "t013.csv").symlink_to(tmp_path / "elsewhere.csv")
+        outputs = []
+        for d in ("plain", "linked"):
+            assert run(["report", "r.stl", d]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+
 class TestProfileOut:
+    # `check builtin:turtlebot` of the six seed-7 preset `pre` episodes
+    # with `--profile-out`, digested as FLEET_DIGESTS are (tests/test_sim.py)
+    PROFILES_DIGEST = "694a8192bae22463b998b9e1b3da86c248cbf3e963be86d2f72efbe422ae9673"
+
+    def test_profile_files_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--preset", "--policy", "pre", "--n", "6", "--seed", "7",
+                    "--out", "fleet"]) == 0
+        traces = sorted(str(p) for p in Path("fleet").glob("*.csv"))
+        assert run(["check", "builtin:turtlebot", *traces, "--profile-out", "prof"]) == 1
+        assert len(list(Path("prof").iterdir())) == 18
+        assert fleet_digest(Path("prof")) == self.PROFILES_DIGEST
+
     def test_duplicate_trace_id_exits_two_before_overwriting(self, tmp_path, capsys):
         spec = tmp_path / "r.stl"
         spec.write_text("signal x : real\nrule r: x > 0\n")

@@ -27,6 +27,7 @@ from stlmon import (
 import stlmon.cli
 from stlmon.cli import run
 from stlmon.sim import format_config
+from reference import ScalarSplitMix64, fleet_digest
 
 QUIET = PolicyParams(
     turn_gain=2.0, noise_std=0.0, repulsion_gain=0.0, repulsion_range=0.0, turn_smoothing=0.0
@@ -41,6 +42,20 @@ GOAL_RADII = "goal radii must be finite and satisfy 0 <= min <= max"
 FLEET_DIGESTS = {
     "pre": "fb5543906ed663dc01ed63452b9e55c2fb5d1b8a497fffdf4d931af44f5a310e",
     "post": "f99b73d5e1089d53def598c0518390f01070b9bdbee0fd01cf7333aa2c3ffaea",
+}
+
+# `simulate --config C --policy pre --n 12 --seed 7`, where C is the preset
+# scenario and pre policy with (max_steps, noise_std) as keyed, digested as
+# above. With max_steps 127, 128 and 129, nine of the twelve episodes time
+# out, so their last noise draw is the one before, at and after the end of
+# a 128-draw block; a quiet episode still draws, and some take 134 steps.
+# Recorded when the noise was drawn one normal at a time.
+BLOCK_EDGE_DIGESTS = {
+    (1, 4.5): "02cb52935e9ce875120c6d227a48d97d93aed343b5bf1eb3bea5cfea6aed2ec4",
+    (127, 4.5): "ce39c3f666962990fb9d59bdb16bd07820b1ae487a8bf9ce339e7a71b3937c5b",
+    (128, 4.5): "c76fbe81815967430d3ea5842b67ee240fefd80c6d3cb3faf2e91315c4085756",
+    (129, 4.5): "a2d86a3821f723ca00ac101e53a91ab190fdb37bb6c1c464ad7928fead889851",
+    (800, 0.0): "831792fb9efdc7be5f23bfc4297c2a446b17464fbfc69a46a0f3e241bb0614b5",
 }
 
 
@@ -80,6 +95,28 @@ class TestRng:
         xs = [rng.normal() for _ in range(20000)]
         assert abs(np.mean(xs)) < 0.03
         assert abs(np.std(xs) - 1.0) < 0.03
+
+    def test_reference_generator_gives_the_golden_values(self):
+        ref = ScalarSplitMix64(42)
+        assert [ref.next_u64() for _ in range(3)] == [
+            10996452266160306281,
+            2958219263312191191,
+            3069497704473277141,
+        ]
+
+    # seed words with the high bit set: states and steps wrap mod 2^64
+    @pytest.mark.parametrize("seed", [(0xFFFFFFFFFFFFFFFF,), (0x8000000000000001, 0xC0FFEE0000000000),
+                                      (0x6E6F6973, 0xFEDCBA9876543210)])
+    @pytest.mark.parametrize("k", [1, 2, 127, 128, 129, 1000])
+    def test_block_is_k_reference_draws(self, seed, k):
+        rng, ref = SplitMix64(*seed), ScalarSplitMix64(*seed)
+        assert rng.next_u64() == ref.next_u64()  # a block may start at any word
+        block = rng.normals(k)
+        assert all(type(x) is float for x in block)
+        assert [x.hex() for x in block] == [ref.normal().hex() for _ in range(k)]
+        assert rng._state == ref.state  # 2k words consumed
+        assert [rng.normal().hex() for _ in range(3)] == [ref.normal().hex() for _ in range(3)]
+        assert rng.next_u64() == ref.next_u64()
 
 
 class TestConfigValidation:
@@ -249,14 +286,6 @@ class TestFleets:
             simulate_fleet(cfg, pre, 0, 0)
 
 
-def fleet_digest(directory: Path) -> str:
-    listing = "".join(
-        f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
-        for path in sorted(directory.iterdir())
-    )
-    return hashlib.sha256(listing.encode()).hexdigest()
-
-
 class TestFleetBytes:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("policy", ["pre", "post"])
@@ -287,6 +316,50 @@ class TestFleetBytes:
                               env=env, timeout=120)
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
         assert fleet_digest(tmp_path / "fleet") == FLEET_DIGESTS["post"]
+
+
+class TestNoiseBlocks:
+    """The control noise comes in blocks of 128 draws; fleets are those of
+    one draw per step."""
+
+    @pytest.mark.parametrize("max_steps, noise_std", sorted(BLOCK_EDGE_DIGESTS))
+    def test_block_edge_fleets(self, tmp_path, capsys, max_steps, noise_std):
+        cfg, pre, _ = builtin_presets()
+        cfg = ScenarioConfig(**{**vars(cfg), "max_steps": max_steps})
+        params = PolicyParams(**{**vars(pre), "noise_std": noise_std})
+        config = tmp_path / "c.cfg"
+        config.write_text(format_config(cfg, {"pre": params}))
+        out = tmp_path / "fleet"
+        assert run(["simulate", "--config", str(config), "--policy", "pre", "--n", "12",
+                    "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 12 traces to {out}\n"
+        assert fleet_digest(out) == BLOCK_EDGE_DIGESTS[max_steps, noise_std]
+
+    @pytest.mark.parametrize("max_steps", [1, 127, 128, 129, 256, 257, 800])
+    def test_one_block_per_128_steps(self, monkeypatch, max_steps):
+        calls = []
+        normals = SplitMix64.normals
+
+        def counted(rng, k):
+            calls.append(k)
+            return normals(rng, k)
+
+        monkeypatch.setattr(SplitMix64, "normals", counted)
+        cfg, pre, _ = builtin_presets()
+        # at a third of the preset speed, episodes take 333 to 456 steps
+        cfg = ScenarioConfig(**{**vars(cfg), "max_steps": max_steps, "linear_speed": 0.05})
+        steps = set()
+        for seed in range(7, 19):
+            calls.clear()
+            ep = simulate_episode(cfg, pre, seed)
+            assert calls == [128] * -(-ep.steps // 128), (seed, ep.steps)
+            steps.add(ep.steps)
+        assert max_steps in steps or max_steps > max(steps)  # the limit is reached or not needed
+
+    def test_an_episode_with_no_step_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(SplitMix64, "normals", lambda rng, k: pytest.fail("drew noise"))
+        cfg = open_arena(goal_sampler=GoalSampler(seed=1, min_radius=0.0, max_radius=0.0))
+        assert simulate_episode(cfg, QUIET, 5).steps == 0
 
 
 class TestConfigFile:

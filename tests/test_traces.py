@@ -1,5 +1,6 @@
 """Trace loading, serialization round-trip, and expression evaluation."""
 
+import hashlib
 import json
 import math
 import random
@@ -916,6 +917,83 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError) as expected:
             format_number(bad)
         assert str(caught.value) == str(expected.value)
+
+
+def mixed_trace(order: tuple[str, ...]) -> Trace:
+    """Three real, one bool and one enum column, in `order`. The reals hold
+    every number form: integral (-0.0 and 1e16 among them), positional,
+    scientific under 1e-4 and at or past 1e16."""
+    n = 37
+    reals = {
+        name: np.array([(-1.0) ** i * (i * scale + 1e-6) * 10.0 ** ((i * step) % 25 - 8)
+                        for i in range(n)])
+        for name, scale, step in (("r1", 0.37, 7), ("r2", 1.0, 5), ("r3", 0.001, 11))
+    }
+    reals["r1"][::6] = np.round(reals["r1"][::6])
+    reals["r2"][:4] = (-0.0, 1e16, 9999999999999998.0, 5e-324)
+    columns = {name: Series(SignalKind.REAL, values) for name, values in reals.items()}
+    columns["b"] = Series(SignalKind.BOOL, np.array([i % 3 == 0 for i in range(n)]))
+    columns["m"] = Series(SignalKind.ENUM, np.array([i * 7 % 3 for i in range(n)]),
+                          ("alpha", "beta", "gamma"))
+    return Trace("mixed", 0.25, np.arange(n) * 0.25, {name: columns[name] for name in order})
+
+
+MIXED_ORDERS = [("r1", "r2", "r3", "b", "m"), ("b", "r1", "m", "r2", "r3"),
+                ("m", "b", "r3", "r2", "r1"), ("r3", "b", "r1", "m", "r2"), ("b", "m", "r2")]
+
+
+class TestOnePassWriter:
+    """The CSV writer formats all real columns of a trace in one pass; its
+    bytes are those of one column at a time (recorded below from that
+    writer) and of one cell at a time."""
+
+    # sha256 of the texts of MIXED_ORDERS, each followed by a NUL
+    CSV_DIGEST = "c7424f986d7edc96c44daa5c737e19f87e4ec5f816ad43a2f2434564b8ae497b"
+    JSON_DIGEST = "248632eaf6cc5bbd32a623c115680017ab246a0533bace063bf8637848b55b51"
+
+    def test_mixed_columns_in_several_orders(self):
+        texts = [write_trace_csv(mixed_trace(order)) for order in MIXED_ORDERS]
+        assert texts == [percell_csv(mixed_trace(order)) for order in MIXED_ORDERS]
+        assert texts[0].splitlines()[:4] == [
+            "time,r1,r2,r3,b,m",
+            "0,0,0,0.00000000000001,true,alpha",
+            "0.25,-0.0370001,10000000000000000,-1.001,false,beta",
+            "0.5,740001,9999999999999998,200100000000.00003,false,gamma",
+        ]
+        digest = hashlib.sha256("".join(t + "\0" for t in texts).encode()).hexdigest()
+        assert digest == self.CSV_DIGEST
+
+    def test_json_writer_unchanged(self):
+        texts = [write_trace_json(mixed_trace(order)) for order in MIXED_ORDERS]
+        for order, text in zip(MIXED_ORDERS, texts):  # one Python call per value
+            trace = mixed_trace(order)
+            signals = {
+                name: [float(v) for v in s.values] if s.kind is SignalKind.REAL
+                else [bool(v) for v in s.values] if s.kind is SignalKind.BOOL
+                else [s.variants[int(v)] for v in s.values]
+                for name, s in trace.channels.items()
+            }
+            assert text == json.dumps({"id": "mixed", "dt": 0.25, "signals": signals}) + "\n"
+        digest = hashlib.sha256("".join(t + "\0" for t in texts).encode()).hexdigest()
+        assert digest == self.JSON_DIGEST
+
+    @pytest.mark.parametrize("first, second", [(math.inf, math.nan), (math.nan, -math.inf),
+                                               (-math.inf, math.inf)])
+    def test_first_non_finite_column_raises(self, first, second):
+        trace = mixed_trace(("r1", "b", "r2", "m", "r3"))
+        r1 = trace.channels["r1"].values.copy()
+        r3 = trace.channels["r3"].values.copy()
+        r1[30] = first  # a later row, but the earlier column
+        r3[2] = second
+        r3[5] = first
+        channels = {**trace.channels, "r1": Series(SignalKind.REAL, r1),
+                    "r3": Series(SignalKind.REAL, r3)}
+        for names, bad in ((("r1", "b", "r2", "m", "r3"), first), (("m", "r3", "b", "r1"), second)):
+            with pytest.raises(ValueError) as caught:
+                write_columns_csv(trace.times, {name: channels[name] for name in names})
+            with pytest.raises(ValueError) as expected:
+                format_number(bad)
+            assert str(caught.value) == str(expected.value), names
 
 
 class TestEvalExpr:
