@@ -450,13 +450,14 @@ def _cmd_compare(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _simulate_chunk(cfg, params, out_dir: Path, seeds: range) -> list[str]:
+def _simulate_chunk(cfg, params, out_dir: Path, digits: int, seeds: range) -> list[str]:
     """Simulate a run of seeds one episode at a time, write each episode's
-    CSV into out_dir and return only the episodes' manifest rows."""
+    CSV into out_dir and return only the episodes' manifest rows. Seeds are
+    zero-padded to `digits`, the fleet's widest, so names sort in seed order."""
     rows = []
     for seed in seeds:
         [ep] = simulate_fleet(cfg, params, 1, seed)
-        name = f"trace_{ep.seed:06d}.csv"
+        name = f"trace_{ep.seed:0{digits}d}.csv"
         text = write_trace_csv(ep.trace)
         with _faults("write", f"fleet to {out_dir}"):
             (out_dir / name).write_text(text, encoding="utf-8")
@@ -468,6 +469,8 @@ def _simulate_chunk(cfg, params, out_dir: Path, seeds: range) -> list[str]:
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise CliError("--n must be >= 1")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     if args.preset:
         cfg, pre, post = builtin_presets()
         policies = {"pre": pre, "post": post}
@@ -493,7 +496,8 @@ def _cmd_simulate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if next(out_dir.iterdir(), None) is not None:  # an earlier fleet would mix into this one
             raise OSError("directory is not empty")
-    rows = _ordered_map(partial(_simulate_chunk, cfg, params, out_dir), seeds)
+    digits = max(6, len(str(seeds[-1])))
+    rows = _ordered_map(partial(_simulate_chunk, cfg, params, out_dir, digits), seeds)
 
     manifest = [
         "# fleet manifest",
@@ -556,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", metavar="FILE", help="scenario/policy config file")
     p_sim.add_argument("--policy", required=True, help="a policy the config defines")
     p_sim.add_argument("--n", type=int, required=True, help="number of episodes (>= 1)")
-    p_sim.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p_sim.add_argument("--seed", type=int, default=0, help="base seed, >= 0 (default 0)")
     p_sim.add_argument("--out", required=True, metavar="DIR")
     return parser
 

@@ -11,10 +11,12 @@ Whitespace is insignificant and `#` comments run to end of line.
 Operator precedence and associativity come from the AST classes in
 `formula.py` (each class's `op` and `prec`); the parser only reads them.
 
-The parser is the one place a specification is checked. Every input
-either parses to a well-formed Specification (unique names, declared
-signals, kind-correct predicates, legal intervals) or raises ParseError
-at the source span of its first fault; no other exception escapes.
+Each token is read once: a `(` groups a formula or the left expression of
+a comparison, as in `(x + 1) < 2`, and its first token decides which. The
+parser is the one place a specification is checked. Every input either
+parses to a well-formed Specification (unique names, declared signals,
+kind-correct predicates, legal intervals) or raises ParseError at the
+source span of its first fault; no other exception escapes.
 """
 
 from __future__ import annotations
@@ -130,12 +132,11 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-# Bound on recursive-descent depth, counted at the formula/unary/factor
-# funnels (a syntactic nesting level costs up to three ticks). Keeps the
-# parser far from the interpreter stack limit; real rules nest a handful
-# of levels deep.
+# Bound on recursive-descent depth: each `(`, prefix operator and `->` is
+# one level, and a rule's formula, operand and expression take three, so
+# 117 nested groups parse. Keeps the parser far from the interpreter stack
+# limit; real rules nest a handful of levels deep.
 MAX_NESTING = 120
-_TOO_DEEP = "formula nests too deeply"
 
 # Operator tokens, read from the classes that own them.
 _BINARY = {cls.op: cls for cls in (Implies, Or, And, Until)}
@@ -157,7 +158,7 @@ class _Parser:
         self.nesting += 1
         try:
             if self.nesting > MAX_NESTING:
-                raise ParseError(self.peek().span, _TOO_DEEP)
+                raise ParseError(self.peek().span, "formula nests too deeply")
             yield
         finally:
             self.nesting -= 1
@@ -243,9 +244,9 @@ class _Parser:
         with self._nested():
             return self._binary(Implies.prec)
 
-    def _binary(self, prec: int) -> Formula:
+    def _binary(self, prec: int, first: Formula | None = None) -> Formula:
         """Precedence climbing: an operand, then each operator binding at `prec` or tighter."""
-        f = self.unary()
+        f = self.unary() if first is None else first
         while (cls := _BINARY.get(self.peek().text)) is not None and cls.prec >= prec:
             op_tok = self.advance()
             if cls is Implies:  # right-associative
@@ -286,36 +287,37 @@ class _Parser:
             raise ParseError(hi_tok.span, str(exc)) from None
 
     def primary(self) -> Formula:
-        if self.at("op", "("):
-            # '(' is ambiguous: it may group a formula or start the left
-            # expression of a comparison, e.g. `(x + 1) < 2`. Try the
-            # formula reading first and fall back to a predicate.
-            saved = self.pos
-            try:
-                self.advance()
-                inner = self.formula()
-                self.expect("op", ")")
-                return inner
-            except ParseError as formula_err:
-                self.pos = saved
-                try:
-                    return Atom(self.predicate())
-                except ParseError as pred_err:
-                    # A formula reading refused for depth stays a depth error.
-                    if formula_err.message == _TOO_DEEP or _pos_of(pred_err) < _pos_of(formula_err):
-                        raise formula_err from None
-                    raise
-        return Atom(self.predicate())
+        group = self._group() if self.at("op", "(") else None
+        return group if isinstance(group, Formula) else Atom(self.predicate(group))
 
-    def predicate(self) -> Predicate:
+    def _group(self) -> Formula | SignalExpr:
+        """Read `( ... )` once: a grouped formula, or the left expression of a
+        comparison, as in `(x + 1) < 2`, returned with the arithmetic after `)`."""
+        with self._nested():
+            self.advance()
+            tok = self.peek()
+            decl = self.decls.get(tok.text)
+            first = None  # `!`, `G`, `F` and bool or enum signals start a formula
+            if tok.text not in _UNARY and (decl is None or decl.kind is SignalKind.REAL):
+                first = self._group() if self.at("op", "(") else self.expr()
+                if isinstance(first, SignalExpr):
+                    if self.peek().text not in _COMPARE:
+                        self.expect("op", ")")
+                        return self.expr(1, first)
+                    first = Atom(self.predicate(first))
+            inner = self._binary(Implies.prec, first)
+            self.expect("op", ")")
+            return inner
+
+    def predicate(self, lhs: SignalExpr | None = None) -> Predicate:
         tok = self.peek()
-        if tok.kind == "ident":
+        if tok.kind == "ident" and lhs is None:
             decl = self.decls.get(tok.text)
             if decl is not None and decl.kind is SignalKind.ENUM:
                 return self.enum_predicate(decl)
             if decl is not None and decl.kind is SignalKind.BOOL:
                 return self.bool_predicate(decl)
-        lhs = self.expr()
+        lhs = self.expr() if lhs is None else lhs
         op_tok = self.peek()
         if op_tok.text in _COMPARE:
             self.advance()
@@ -352,9 +354,9 @@ class _Parser:
 
     # -- signal expressions -------------------------------------------------
 
-    def expr(self, prec: int = 1) -> SignalExpr:
+    def expr(self, prec: int = 1, first: SignalExpr | None = None) -> SignalExpr:
         """Precedence climbing over `+ - * /`, all left-associative."""
-        e = self.factor()
+        e = self.factor() if first is None else first
         while (cls := _ARITH.get(self.peek().text)) is not None and cls.prec >= prec:
             self.advance()
             e = cls(e, self.expr(cls.prec + 1))
@@ -408,10 +410,6 @@ class _Parser:
 
 def _describe(tok: Token) -> str:
     return "end of input" if tok.kind == "eof" else f"{tok.kind} {tok.text!r}"
-
-
-def _pos_of(err: ParseError) -> tuple[int, int]:
-    return (err.span.line, err.span.column)
 
 
 def parse_spec(source: str) -> Specification:

@@ -253,6 +253,35 @@ class TestSimulate:
         assert (captured.out, captured.err) == ("", "error: --n must be >= 1\n")
         assert not (tmp_path / "x").exists()
 
+    def test_names_past_six_digits_sort_in_seed_order(self, tmp_path, capsys):
+        out = tmp_path / "wide"
+        assert run(["simulate", "--preset", "--policy", "post", "--n", "3",
+                    "--seed", "999998", "--out", str(out)]) == 0
+        names = ["trace_0999998.csv", "trace_0999999.csv", "trace_1000000.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", *names]
+        rows = (out / "manifest.txt").read_text().split("goal_x,goal_y\n")[1].splitlines()
+        assert [row.split(",")[0] for row in rows] == names
+        # `report` lists the traces in the manifest's order: the same rho
+        # lists as a copy whose names are a, b, c in that order.
+        ordered = tmp_path / "ordered"
+        ordered.mkdir()
+        for letter, name in zip("abc", names):
+            shutil.copy(out / name, ordered / f"{letter}.csv")
+        capsys.readouterr()
+        reports = []
+        for fleet in (out, ordered):
+            assert run(["report", "builtin:turtlebot", str(fleet)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = run(["simulate", "--preset", "--policy", "post", "--n", "3",
+                    "--seed", "-1", "--out", str(tmp_path / "neg")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed must be >= 0\n")
+        assert not (tmp_path / "neg").exists()
+
     def test_config_file_simulation(self, tmp_path, capsys):
         from stlmon import builtin_presets
         from stlmon.sim import format_config

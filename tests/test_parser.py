@@ -32,6 +32,8 @@ from stlmon import (
     pretty_print_spec,
     tokenize,
 )
+from stlmon.cli import builtin_spec_path
+from stlmon.parser import _Parser
 from reference import PALETTE, random_formula
 
 DECLS = """
@@ -301,13 +303,18 @@ class TestNestingBound:
         with pytest.raises(ParseError, match="nests too deeply"):
             parse_spec(src)
 
+    def test_hundred_formula_parens_parse(self):
+        inner = "(" * 100 + "x < 1" + ")" * 100
+        spec = parse_spec(f"signal x : real\nrule r: {inner}\n")
+        assert spec.rules[0].formula == Atom(Compare(SignalRef("x"), CmpOp.LT, Constant(1)))
+
     def test_moderate_nesting_still_parses(self):
         inner = "(" * 30 + "x < 1" + ")" * 30
         spec = parse_spec(f"signal x : real\nrule r: {inner}\n")
         assert spec.rules[0].formula == Atom(Compare(SignalRef("x"), CmpOp.LT, Constant(1)))
 
-    # 59 expression parens: the formula reading of the outer `(` is refused
-    # for depth (two levels a paren), the predicate reading fits (one level).
+    # 59 expression parens as a comparison's left side: each `(` is one
+    # nesting level, so they parse, and the next rule starts again from 0.
     DEEP_EXPR = "(" * 59 + "x" + ")" * 59
 
     def test_predicate_reading_after_a_refused_formula_reading(self):
@@ -322,3 +329,106 @@ class TestNestingBound:
             errors.append(str(exc.value))
         assert errors == ["line 4, column 1: unexpected end of input "
                           "(expected signal expression)"] * 2
+
+
+class TestGroups:
+    """Outcomes of rules around `(`, recorded when each `(` was read twice
+    (first as a formula, then as a comparison's left side): the printed
+    formula, or the exact ParseError."""
+
+    OUTCOMES = [
+        ("(speed + 1) < 2", "speed + 1 < 2"),
+        ("(speed + 1)",
+         "line 10, column 1: unexpected end of input (expected comparison operator)"),
+        ("(speed + 1) < 2 && (speed > 0)", "(speed + 1 < 2) && (speed > 0)"),
+        ("(speed < 1", "line 10, column 1: unexpected end of input (expected ')')"),
+        ("(speed + 1 < 2", "line 10, column 1: unexpected end of input (expected ')')"),
+        ("((speed < 1) + 2) < 3", "line 9, column 22: unexpected op '+' (expected ')')"),
+        ("((speed < 1) < 2)", "line 9, column 22: unexpected op '<' (expected ')')"),
+        ("(speed < 1) < 2", "line 9, column 21: unexpected op '<' "
+                            "(expected 'signal' or 'rule' or end of input)"),
+        ("(finished_lap)", "finished_lap"),
+        ("(finished_lap && speed < 1)", "(finished_lap) && (speed < 1)"),
+        ("(finished_lap + 1) < 2", "line 9, column 23: unexpected op '+' (expected ')')"),
+        ("(goal_reached == false) -> (speed > 1)", "(goal_reached == false) -> (speed > 1)"),
+        ("(surface == track) || (speed > 0)", "(surface == track) || (speed > 0)"),
+        ("(surface)", "line 9, column 17: enum signal 'surface' needs '==' or '!=' "
+                      "(expected '==' or '!=')"),
+        ("(surface != offroad && finished_lap)", "(surface != offroad) && (finished_lap)"),
+        ("(!(speed < 1))", "!(speed < 1)"),
+        ("(!speed < 1)", "!(speed < 1)"),
+        ("(!(speed) < 1)", "!(speed < 1)"),
+        ("(G[0, 5] speed < 1)", "G[0, 5] (speed < 1)"),
+        ("(F (goal_reached))", "F[0, inf] (goal_reached)"),
+        ("(G[0, 5] (speed + 1)) < 2",
+         "line 9, column 29: unexpected op ')' (expected comparison operator)"),
+        ("(speed < 1 U[0, 2] speed > 3)", "(speed < 1) U[0, 2] (speed > 3)"),
+        ("(speed < 1 U speed > 3)",
+         "line 9, column 20: U requires an explicit interval (expected '[')"),
+        ("(U[0, 1] speed < 1)",
+         "line 9, column 10: unexpected keyword 'U' (expected signal expression)"),
+        ("((speed + 1) * 2 < 3) && (speed > 0)", "((speed + 1) * 2 < 3) && (speed > 0)"),
+        ("((speed < 1))", "speed < 1"),
+        ("((speed)) < 1", "speed < 1"),
+        ("((speed) + 1) * 2 >= abs(phi)", "(speed + 1) * 2 >= abs(phi)"),
+        ("((speed) + 1 && speed < 2)", "line 9, column 22: unexpected op '&&' (expected ')')"),
+        ("((speed) + )", "line 9, column 20: unexpected op ')' (expected signal expression)"),
+        ("(speed) == 1", "line 9, column 17: '==' and '!=' apply only to enum or bool signals"),
+        ("(speed + 1 && speed < 2)", "line 9, column 20: unexpected op '&&' (expected ')')"),
+        ("(speed + 1 == 2)", "line 9, column 20: unexpected op '==' (expected ')')"),
+        ("()", "line 9, column 10: unexpected op ')' (expected signal expression)"),
+        ("(speed < 1))", "line 9, column 20: unexpected op ')' "
+                         "(expected 'signal' or 'rule' or end of input)"),
+        ("(abs(deriv(phi)) <= 0.2)", "abs(deriv(phi)) <= 0.2"),
+        ("(-speed < 1)", "line 9, column 10: '-' is only allowed before a numeric literal"),
+        ("(-1 * speed < 1)", "-1 * speed < 1"),
+        ("(velocity < 1)", "line 9, column 10: unknown signal 'velocity'"),
+        ("(speed < 1 -> (dist_obst > 2))", "(speed < 1) -> (dist_obst > 2)"),
+        ("(speed < 1 -> dist_obst)",
+         "line 9, column 32: unexpected op ')' (expected comparison operator)"),
+        ("(" * 59 + "speed" + ")" * 59 + " < 1", "speed < 1"),
+    ]
+
+    @pytest.mark.parametrize("source, outcome", OUTCOMES, ids=range(len(OUTCOMES)))
+    def test_outcome(self, source, outcome):
+        try:
+            got = pretty_print(parse_rule(source))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == outcome
+
+
+    def test_a_signal_named_like_a_function_starts_a_formula_group(self):
+        """A bool or enum signal opens a formula, inside `(` as outside: a
+        signal named `abs` followed by `(` is the signal, not a call."""
+        for kind in ("bool", "enum {a, b}"):
+            decls = f"signal x : real\nsignal abs : {kind}\nrule r: "
+            for rule in ("abs(x) < 1", "(abs(x)) < 1", "(abs(x) < 1)"):
+                with pytest.raises(ParseError) as err:
+                    parse_spec(decls + rule)
+                # refused at the `(` after the signal
+                assert err.value.span.column == len("rule r: ") + rule.index("abs(") + 4
+
+
+class TestReadOnce:
+    """The parser reads every token once: no input is read a second time."""
+
+    SOURCES = {
+        "turtlebot": builtin_spec_path("turtlebot").read_text(encoding="utf-8"),
+        "mario": builtin_spec_path("mario").read_text(encoding="utf-8"),
+        "docs": (Path(__file__).resolve().parents[1] / "docs" / "rules.stl").read_text(),
+        **{rule: f"signal speed : real\nrule r: {rule}\n" for rule in (
+            "((speed + 1) * 2 < 3) && (speed > 0)",
+            "((speed < 1))",
+            "(speed + 1) < 2",
+            "(((speed) + 1) * 2) < 3 -> !((speed > 0))",
+        )},
+    }
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_each_token_is_read_once(self, name, monkeypatch):
+        reads = []
+        advance = _Parser.advance
+        monkeypatch.setattr(_Parser, "advance", lambda self: reads.append(1) or advance(self))
+        parse_spec(self.SOURCES[name])
+        assert len(reads) == len(tokenize(self.SOURCES[name])) - 1  # all but eof
