@@ -49,11 +49,11 @@ from .traces import (
     Series,
     Trace,
     TraceError,
-    columns_csv_writer,
     load_csv_bodies,
     load_trace_csv,  # kept only for bench/traced.py's traces.load_csv layer (ROADMAP item 6)
     load_trace_json,
     split_trace_csv,
+    write_columns_csv,
     write_trace_csv,
 )
 
@@ -69,9 +69,11 @@ class CliError(Exception):
 
 
 @contextmanager
-def _faults(verb: str, what: str):
-    """Turn an OSError raised in the block into the CliError `cannot <verb>
-    <what>: <reason>`, and a UnicodeDecodeError into `<what> is not UTF-8:
+def _faults(verb: str, what: str, source: str | Path | None = None):
+    """Turn an error raised in the block into one CliError line: an OSError
+    into `cannot <verb> <what>: <reason>`, a UnicodeDecodeError into `<what>
+    is not UTF-8: <reason>`, and a fault in the contents of the input file
+    `source` (ParseError, TraceError or ConfigError) into `<source>:
     <reason>`. Every file-system call of the CLI runs in one."""
     try:
         yield
@@ -79,6 +81,10 @@ def _faults(verb: str, what: str):
         raise CliError(f"cannot {verb} {what}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise CliError(f"{what} is not UTF-8: {exc}") from None
+    except (ParseError, TraceError, ConfigError) as exc:
+        if source is None:
+            raise
+        raise CliError(f"{source}: {exc}") from None
 
 
 def builtin_spec_path(name: str) -> Path:
@@ -94,12 +100,8 @@ def _load_spec(spec_arg: str) -> Specification:
         path = builtin_spec_path(spec_arg[len(BUILTIN_PREFIX):])
     else:
         path = Path(spec_arg)
-    with _faults("read", f"specification {path}"):
-        source = path.read_text(encoding="utf-8")
-    try:
-        spec = parse_spec(source)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    with _faults("read", f"specification {path}", path):
+        spec = parse_spec(path.read_text(encoding="utf-8"))
     if not spec.rules:
         raise CliError("specification has no rules")
     return spec
@@ -137,15 +139,13 @@ def _read(spec: Specification, path: str) -> tuple:
     without waiting for a writer and then read as a pipe is, to the end of
     its writers' output: one that no process writes to reads as empty at
     once, a decode fault, where a plain open would wait for ever."""
-    with _faults("read", f"trace {path}"), open(path, "rb", opener=_open_nonblocking) as file:
-        os.set_blocking(file.fileno(), True)
-        data = file.read()
-    try:
+    with _faults("read", f"trace {path}", path):
+        with open(path, "rb", opener=_open_nonblocking) as file:
+            os.set_blocking(file.fileno(), True)
+            data = file.read()
         if _stem_suffix(path)[1] == ".json":
             return None, load_trace_json(data, spec)
         return split_trace_csv(data, spec)
-    except TraceError as exc:
-        raise CliError(f"{path}: {exc}") from None
 
 
 def _decoded(files: list) -> Iterator[list[Trace]]:
@@ -347,14 +347,13 @@ def _write_profiles(out_dir: str, chunk: list[Trace], profiles, written: set[str
         if trace.id in written:
             raise CliError(f"trace '{trace.id}': duplicate id for --profile-out")
         written.add(trace.id)
-        write = columns_csv_writer(trace.times)
         with _faults("write", f"profiles to {out_dir}"):
             if i == 0:  # once per call, after the first id is checked
                 root.mkdir(parents=True, exist_ok=True)
             for profile in profiles[i * k:(i + 1) * k]:
                 columns = {p: Series(SignalKind.REAL, s) for p, s in sorted(profile.series.items())}
                 (root / f"{trace.id}__{profile.rule_name}.csv").write_text(
-                    write(columns), encoding="utf-8"
+                    write_columns_csv(trace.times, columns), encoding="utf-8"
                 )
 
 
@@ -471,25 +470,20 @@ def _cmd_simulate(args) -> int:
         raise CliError("--n must be >= 1")
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
+    if args.seed + args.n > 1 << 64:  # the noise stream reduces a seed mod 2^64
+        raise CliError("--seed + --n - 1 must be < 2^64")
     if args.preset:
         cfg, pre, post = builtin_presets()
         policies = {"pre": pre, "post": post}
     else:
-        with _faults("read", f"config {args.config}"):
-            text = Path(args.config).read_text(encoding="utf-8")
-        try:
-            cfg, policies = parse_config_text(text)
-        except ConfigError as exc:
-            raise CliError(f"{args.config}: {exc}") from None
+        with _faults("read", f"config {args.config}", args.config):
+            cfg, policies = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     if args.policy not in policies:
         raise CliError(f"config defines no policy '{args.policy}'")
     params = policies[args.policy]
     seeds = range(args.seed, args.seed + args.n)
-    try:  # every goal is placeable, so no worker can fail on one
-        for seed in seeds:
-            sample_goal(cfg, seed)
-    except ConfigError as exc:
-        raise CliError(str(exc)) from None
+    for seed in seeds:  # every goal is placeable, so no worker can fail on one
+        sample_goal(cfg, seed)
 
     out_dir = Path(args.out)
     with _faults("write", f"fleet to {out_dir}"):
@@ -560,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", metavar="FILE", help="scenario/policy config file")
     p_sim.add_argument("--policy", required=True, help="a policy the config defines")
     p_sim.add_argument("--n", type=int, required=True, help="number of episodes (>= 1)")
-    p_sim.add_argument("--seed", type=int, default=0, help="base seed, >= 0 (default 0)")
+    p_sim.add_argument("--seed", type=int, default=0,
+                       help="base seed, >= 0, with seed + n - 1 < 2^64 (default 0)")
     p_sim.add_argument("--out", required=True, metavar="DIR")
     return parser
 
@@ -579,7 +574,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, EvalError) as exc:
+    except (CliError, EvalError, ConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:

@@ -146,6 +146,8 @@ class ScenarioConfig(_Record):
             if math.hypot(ob.x, ob.y) <= ob.radius:
                 raise ConfigError(f"obstacle {i} covers the origin")
         gs = self.goal_sampler
+        if not 0 <= gs.seed <= _MASK64:  # the goal stream reduces a seed mod 2^64
+            raise ConfigError("goal_sampler seed must be >= 0 and < 2^64")
         if not 0 <= gs.min_radius <= gs.max_radius < math.inf:
             raise ConfigError("goal radii must be finite and satisfy 0 <= min <= max")
 

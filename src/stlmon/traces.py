@@ -19,10 +19,12 @@ cells. Each trace's columns are slices of the table's columns.
 files with one call. The JSON loader decodes each signal's array in one
 pass through `_decode_column`.
 
-The CSV writer formats all the real columns of a trace in one numpy
-pass (`_real_cells`): one set of finite, integral and scientific masks,
-one `tolist()` and one `map(repr)`; integral cells are overwritten from
-one int64 conversion, and only scientific ones go through
+One function, `write_columns_csv`, writes every CSV: a trace's
+(`write_trace_csv`) and each profile file of `check --profile-out`. It
+formats the time column in one numpy pass (`_real_cells`) and all the
+real columns in one more: one set of finite, integral and scientific
+masks, one `tolist()` and one `map(repr)`; integral cells are overwritten
+from one int64 conversion, and only scientific ones go through
 `format_number`. The JSON writer converts each column with one
 `tolist()`.
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, islice
 from typing import Union
 
@@ -433,24 +435,15 @@ def _flag_cells(series: Series) -> list[str]:
 
 
 def write_columns_csv(times: np.ndarray, channels: dict[str, Series]) -> str:
-    """CSV text with header `time,<name>...`; reals use shortest round-trip decimals."""
-    return columns_csv_writer(times)(channels)
-
-
-def columns_csv_writer(times: np.ndarray) -> Callable[[dict[str, Series]], str]:
-    """`write_columns_csv` on one time column, formatted once for every call.
-    Each call formats all its real columns in one `_real_cells` pass."""
+    """CSV text with header `time,<name>...`; reals use shortest round-trip
+    decimals. Time is one `_real_cells` pass, the real channels one more."""
     [time_cells] = _real_cells([times])
-
-    def write(channels: dict[str, Series]) -> str:
-        series = channels.values()
-        real_cells = iter(_real_cells([s.values for s in series if s.kind is SignalKind.REAL]))
-        columns = [time_cells, *(next(real_cells) if s.kind is SignalKind.REAL else _flag_cells(s)
-                                 for s in series)]
-        lines = [",".join(["time", *channels]), *map(",".join, zip(*columns))]
-        return "\n".join(lines) + "\n"
-
-    return write
+    series = channels.values()
+    real_cells = iter(_real_cells([s.values for s in series if s.kind is SignalKind.REAL]))
+    columns = [time_cells, *(next(real_cells) if s.kind is SignalKind.REAL else _flag_cells(s)
+                             for s in series)]
+    lines = [",".join(["time", *channels]), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(trace: Trace) -> str:

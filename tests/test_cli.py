@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -281,6 +282,22 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --seed must be >= 0\n")
         assert not (tmp_path / "neg").exists()
+
+    def test_seed_past_two_to_the_64_is_usage_error(self, tmp_path, capsys):
+        # The noise stream reduces a seed mod 2^64: seed 2^64 would be
+        # seed 0's episode under another name.
+        last = str(2**64 - 1)
+        code = run(["simulate", "--preset", "--policy", "post", "--n", "2",
+                    "--seed", last, "--out", str(tmp_path / "alias")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed + --n - 1 must be < 2^64\n")
+        assert not (tmp_path / "alias").exists()
+        assert run(["simulate", "--preset", "--policy", "post", "--n", "1",
+                    "--seed", last, "--out", str(tmp_path / "last")]) == 0
+        assert sorted(p.name for p in (tmp_path / "last").iterdir()) == [
+            "manifest.txt", f"trace_{last}.csv",
+        ]
 
     def test_config_file_simulation(self, tmp_path, capsys):
         from stlmon import builtin_presets
@@ -1077,13 +1094,21 @@ class TestWriteErrors:
 
 
 class TestReadErrors:
-    """An input that cannot be read, listed or decoded as UTF-8 exits 2 with
-    one named error line."""
+    """An input that cannot be read, listed, decoded as UTF-8 or parsed
+    exits 2 with one named error line."""
 
     def test_specification_and_config(self, workspace, tmp_path, capsys):
+        from stlmon.sim import format_config
+
         latin = tmp_path / "latin.txt"
         latin.write_bytes(b"# caf\xe9\n")
         missing = tmp_path / "missing.txt"
+        broken = tmp_path / "broken.stl"
+        broken.write_text("rule r: velocity < 1\n")
+        slow = tmp_path / "slow.cfg"
+        cfg, pre, post = stlmon.builtin_presets()
+        slow.write_text(re.sub(r"(?m)^dt = .*$", "dt = fast",
+                               format_config(cfg, {"pre": pre, "post": post})))
         trace = str(workspace / "ok.csv")
         sim = ["--policy", "pre", "--n", "1", "--out", str(tmp_path / "x")]
         reason = "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"
@@ -1094,6 +1119,9 @@ class TestReadErrors:
             (["simulate", "--config", str(missing), *sim], f"cannot read config {missing}: "
              f"[Errno 2] No such file or directory: '{missing}'"),
             (["simulate", "--config", str(latin), *sim], f"config {latin} is not UTF-8: {reason}"),
+            (["check", str(broken), trace],
+             f"{broken}: line 1, column 9: unknown signal 'velocity'"),
+            (["simulate", "--config", str(slow), *sim], f"{slow}: bad number for 'dt': 'fast'"),
         ):
             assert run(argv) == 2
             assert capsys.readouterr() == ("", f"error: {err}\n")

@@ -34,6 +34,7 @@ QUIET = PolicyParams(
 )
 
 GOAL_RADII = "goal radii must be finite and satisfy 0 <= min <= max"
+GOAL_SEED = "goal_sampler seed must be >= 0 and < 2^64"
 
 # `simulate --preset --policy P --n 40 --seed 7`: sha256 of the lines
 # "<file> <sha256 of its bytes>" for every file of the fleet, in name order.
@@ -407,6 +408,8 @@ class TestConfigFile:
             ("goal_sampler", "2025,1.6,inf", GOAL_RADII),
             ("goal_sampler", "2025,inf,inf", GOAL_RADII),
             ("goal_sampler", "2025,nan,1.9", GOAL_RADII),
+            ("goal_sampler", "-1,1.6,1.9", GOAL_SEED),
+            ("goal_sampler", "18446744073709551616,1.6,1.9", GOAL_SEED),
         ],
     )
     def test_non_finite_and_fractional_settings_rejected(self, key, value, message):
@@ -415,6 +418,13 @@ class TestConfigFile:
         text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_goal_seed_range_ends_accepted(self, seed):
+        cfg, pre, _ = builtin_presets()
+        text = re.sub(r"(?m)^goal_sampler = 2025,", f"goal_sampler = {seed},",
+                      format_config(cfg, {"pre": pre}))
+        assert parse_config_text(text)[0].goal_sampler.seed == seed
 
     def test_simulate_rejects_nan_dt_with_exit_two(self, tmp_path, capsys):
         cfg, pre, post = builtin_presets()
